@@ -10,16 +10,16 @@ can observe FIB-dependent forwarding latency (experiment E9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..hw.port import EthernetPort
 from ..net.checksum import internet_checksum
 from ..net.ethernet import ETHERTYPE_IPV4
-from ..net.fields import ipv4_to_int, mac_to_bytes, u16
+from ..net.fields import ipv4_to_int, ipv4_to_str, mac_to_bytes, u16
 from ..net.ipv4 import Ipv4Header, PROTO_ICMP
 from ..net.packet import Packet
-from ..net.parser import decode
+from ..net.parser import header_offsets
 from ..sim import Simulator
 from ..units import TEN_GBPS, ns
 
@@ -81,9 +81,12 @@ class Fib:
         self.size -= 1
         return True
 
-    def lookup(self, address: str) -> Tuple[Optional[Route], int]:
-        """Best route plus the trie depth walked (for latency models)."""
-        value = ipv4_to_int(address)
+    def lookup(self, address: Union[str, int]) -> Tuple[Optional[Route], int]:
+        """Best route plus the trie depth walked (for latency models).
+
+        ``address`` is a dotted quad or its 32-bit integer.
+        """
+        value = address if isinstance(address, int) else ipv4_to_int(address)
         node = self._root
         best = node.route
         depth = 0
@@ -165,24 +168,27 @@ class Router:
         return handler
 
     def _ingress(self, packet: Packet, in_port: int) -> None:
-        decoded = decode(packet.data)
-        if decoded.ipv4 is None:
+        data = packet.data
+        ip_offset, ethertype, protocol, __, __ = header_offsets(data)
+        if ethertype != ETHERTYPE_IPV4 or protocol is None:
             self.non_ip_dropped += 1
             return
-        route, levels = self.fib.lookup(decoded.ipv4.dst)
+        dst = int.from_bytes(data[ip_offset + 16 : ip_offset + 20], "big")
+        route, levels = self.fib.lookup(dst)
         latency = self.base_latency_ps + levels * self.per_trie_level_ps
-        self.sim.call_after(latency, self._forward, packet, decoded, route, in_port)
+        self.sim.call_after(latency, self._forward, packet, ip_offset, route, in_port)
 
-    def _forward(self, packet: Packet, decoded, route: Optional[Route], in_port: int) -> None:
+    def _forward(
+        self, packet: Packet, ip_offset: int, route: Optional[Route], in_port: int
+    ) -> None:
         if route is None:
             self.no_route += 1
             return
-        header_offset = 14
-        ttl = decoded.ipv4.ttl
+        ttl = packet.data[ip_offset + 8]
         if ttl <= 1:
             self.ttl_expired += 1
             if self.send_ttl_exceeded:
-                self._send_time_exceeded(packet, decoded, in_port)
+                self._send_time_exceeded(packet, ip_offset, in_port)
             return
         data = bytearray(packet.data)
         # Rewrite MACs for the next hop.
@@ -190,36 +196,34 @@ class Router:
         data[6:12] = mac_to_bytes(self.interface_macs[route.out_port])
         # Decrement TTL; update the header checksum incrementally
         # (RFC 1624: HC' = HC + 0x0100 with end-around carry).
-        data[header_offset + 8] = ttl - 1
-        checksum = int.from_bytes(
-            data[header_offset + 10 : header_offset + 12], "big"
-        )
+        data[ip_offset + 8] = ttl - 1
+        checksum = int.from_bytes(data[ip_offset + 10 : ip_offset + 12], "big")
         checksum += 0x0100
         checksum = (checksum & 0xFFFF) + (checksum >> 16)
-        data[header_offset + 10 : header_offset + 12] = u16(checksum)
+        data[ip_offset + 10 : ip_offset + 12] = u16(checksum)
         if not self.ports[route.out_port].send(Packet(bytes(data))):
             self.egress_drops += 1
             return
         self.forwarded += 1
 
-    def _send_time_exceeded(self, packet: Packet, decoded, in_port: int) -> None:
+    def _send_time_exceeded(self, packet: Packet, ip_offset: int, in_port: int) -> None:
         """ICMP type 11 back towards the source, per RFC 792."""
         original = packet.data
-        ip_offset = 14
+        header_len = (original[ip_offset] & 0xF) * 4
         # The ICMP body quotes the offending IP header + first 8 bytes.
-        inner = original[ip_offset : ip_offset + decoded.ipv4.header_length + 8]
+        inner = original[ip_offset : ip_offset + header_len + 8]
         body = b"\x00" * 4 + inner  # 4 unused bytes, then the quote
         checksum = internet_checksum(bytes([ICMP_TIME_EXCEEDED, 0, 0, 0]) + body)
         message = bytes([ICMP_TIME_EXCEEDED, 0]) + u16(checksum) + body
         ip = Ipv4Header(
             src=self.interface_ips[in_port],
-            dst=decoded.ipv4.src,
+            dst=ipv4_to_str(int.from_bytes(original[ip_offset + 12 : ip_offset + 16], "big")),
             protocol=PROTO_ICMP,
             ttl=64,
         )
         network = ip.pack(len(message)) + message
         frame = (
-            mac_to_bytes(decoded.ethernet.src)
+            original[6:12]  # back to the sender's MAC
             + mac_to_bytes(self.interface_macs[in_port])
             + u16(ETHERTYPE_IPV4)
             + network

@@ -20,7 +20,7 @@ from .icmp import IcmpHeader
 from .ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Header
 from .ipv6 import Ipv6Header
 from .packet import Packet
-from .parser import DecodedPacket, decode
+from .parser import DecodedPacket, decode, header_offsets
 from .pcap import PcapReader, PcapRecord, PcapWriter, read_pcap, write_pcap
 from .pcapng import PcapngReader, PcapngWriter, read_capture, read_pcapng, write_pcapng
 from .tcp import TcpHeader
@@ -56,6 +56,7 @@ __all__ = [
     "build_udp6",
     "decode",
     "extract_five_tuple",
+    "header_offsets",
     "read_capture",
     "read_pcap",
     "read_pcapng",

@@ -345,6 +345,7 @@ class TrafficMonitor:
             rule = FilterRule.from_spec(rule)
         else:
             rule = FilterRule(**fields)
+        rule.compile()  # a bad address fails here, before any register write
         base = self._base
         write = self._bus.write32
         write(base + 0x40, FILTER_WILDCARD if rule.src_ip is None else ipv4_to_int(rule.src_ip))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ...errors import GeneratorError
 from ...hw.timestamp import TimestampUnit, ps_to_raw, raw_to_ps
 from ...net.packet import Packet
-from ...net.parser import decode
+from .field_modifiers import zero_l4_checksum
 
 #: Default byte offset of the embedded stamp within the frame. OSNT's
 #: tools default to the start of a minimal UDP payload:
@@ -49,17 +49,6 @@ def extract_ps(data: bytes, offset: int = DEFAULT_OFFSET) -> int:
     return raw_to_ps(extract_raw(data, offset))
 
 
-def _clear_udp_checksum(data: bytes, offset: int) -> bytes:
-    """Zero the UDP checksum if the stamp landed inside a UDP payload."""
-    decoded = decode(data)
-    if decoded.udp is None or decoded.ipv4 is None:
-        return data
-    if offset < decoded.payload_offset:
-        return data  # stamp hit headers, nothing sensible to fix
-    checksum_at = decoded.payload_offset - 2  # last field of the UDP header
-    return data[:checksum_at] + b"\x00\x00" + data[checksum_at + 2 :]
-
-
 class TxTimestamper:
     """Hooks a TX MAC's start-of-frame and stamps departing packets."""
 
@@ -89,7 +78,8 @@ class TxTimestamper:
         raw = ps_to_raw(stamp_ps)
         data = embed_raw(packet.data, self.offset, raw)
         if self.fix_udp_checksum:
-            data = _clear_udp_checksum(data, self.offset)
+            # Only a stamp inside the UDP payload invalidates the checksum.
+            data = zero_l4_checksum(data, payload_at=self.offset)
         packet.data = data
         self.stamped += 1
         # Register the embedded raw value as the span correlation key —

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ...errors import CaptureError
+from ...errors import CaptureError, PacketError
+from ...net.ethernet import ETHERTYPE_IPV4
 from ...net.fields import ipv4_to_int
 from ...net.flows import FiveTuple
-from ...net.parser import decode
+from ...net.ipv4 import PROTO_ICMP
+from ...net.parser import header_offsets
 
 #: Hardware bank depth on the NetFPGA-10G design.
 DEFAULT_BANK_SIZE = 16
@@ -75,6 +77,10 @@ class FilterRule:
                 address, slash, length = str(value).partition("/")
                 kwargs[f"{key}_ip"] = address
                 if slash:
+                    if not length.isdigit():
+                        raise CaptureError(
+                            f"filter rule field {key!r}: bad prefix length {length!r}"
+                        )
                     kwargs[f"{key}_prefix_len"] = int(length)
             elif key == "action":
                 if value not in ("pass", "drop"):
@@ -86,41 +92,66 @@ class FilterRule:
                 raise CaptureError(f"unknown filter rule field {key!r}")
         return cls(**kwargs)
 
+    def compile(self) -> tuple:
+        """This rule as integer compares, like one TCAM row.
+
+        Returns ``(all_wildcard, protocol, src_port, dst_port, src_value,
+        src_mask, dst_value, dst_mask, action_pass)``; a ``None``
+        protocol or port and a zero mask are wildcards. A bad address
+        raises :class:`CaptureError` naming its field.
+        """
+        all_wildcard = (
+            self.src_ip is None
+            and self.dst_ip is None
+            and self.protocol is None
+            and self.src_port is None
+            and self.dst_port is None
+        )
+        return (
+            all_wildcard,
+            self.protocol,
+            self.src_port,
+            self.dst_port,
+            *_prefix("src_ip", self.src_ip, self.src_prefix_len),
+            *_prefix("dst_ip", self.dst_ip, self.dst_prefix_len),
+            self.action_pass,
+        )
+
     def matches(self, tup: Optional[FiveTuple]) -> bool:
+        """Reference match on a decoded 5-tuple (``None`` for non-IP)."""
+        (
+            all_wildcard, protocol, src_port, dst_port,
+            src_value, src_mask, dst_value, dst_mask, __,
+        ) = self.compile()
         if tup is None:
             # Non-IP traffic only matches the all-wildcard rule.
-            return (
-                self.src_ip is None
-                and self.dst_ip is None
-                and self.protocol is None
-                and self.src_port is None
-                and self.dst_port is None
-            )
-        if self.protocol is not None and tup.protocol != self.protocol:
+            return all_wildcard
+        if protocol is not None and tup.protocol != protocol:
             return False
-        if self.src_port is not None and tup.src_port != self.src_port:
+        if src_port is not None and tup.src_port != src_port:
             return False
-        if self.dst_port is not None and tup.dst_port != self.dst_port:
+        if dst_port is not None and tup.dst_port != dst_port:
             return False
-        if self.src_ip is not None and not _prefix_match(
-            tup.src_ip, self.src_ip, self.src_prefix_len
+        # An IPv6 address never matches a non-empty IPv4 prefix.
+        for address, value, mask in (
+            (tup.src_ip, src_value, src_mask),
+            (tup.dst_ip, dst_value, dst_mask),
         ):
-            return False
-        if self.dst_ip is not None and not _prefix_match(
-            tup.dst_ip, self.dst_ip, self.dst_prefix_len
-        ):
-            return False
+            if mask and (":" in address or ipv4_to_int(address) & mask != value):
+                return False
         return True
 
 
-def _prefix_match(address: str, prefix: str, prefix_len: int) -> bool:
-    if prefix_len == 0:
-        return True
-    mask = ((1 << prefix_len) - 1) << (32 - prefix_len)
+def _prefix(field: str, address: Optional[str], prefix_len: int) -> Tuple[int, int]:
+    """``(value, mask)`` of an IPv4 prefix; ``(0, 0)`` is the wildcard."""
+    if address is None:
+        return 0, 0
     try:
-        return (ipv4_to_int(address) & mask) == (ipv4_to_int(prefix) & mask)
-    except Exception:
-        return False
+        value = ipv4_to_int(str(address))
+    except PacketError as exc:
+        raise CaptureError(f"filter rule field {field!r}: bad IPv4 address {address!r}") from exc
+    mask = ((1 << prefix_len) - 1) << (32 - prefix_len)
+    return value & mask, mask
 
 
 class FilterBank:
@@ -132,6 +163,7 @@ class FilterBank:
         self.size = size
         self.default_pass = default_pass
         self.rules: List[FilterRule] = []
+        self._compiled: List[tuple] = []  # FilterRule.compile() rows
         self.matched = 0
         self.passed = 0
         self.filtered = 0
@@ -173,29 +205,54 @@ class FilterBank:
         """Append a rule; returns its row index."""
         if len(self.rules) >= self.size:
             raise CaptureError(f"filter bank full ({self.size} entries)")
+        self._compiled.append(rule.compile())
         self.rules.append(rule)
         return len(self.rules) - 1
 
     def clear(self) -> None:
         self.rules.clear()
+        self._compiled.clear()
 
     def decide(self, data: bytes) -> bool:
         """True if the frame should pass to the capture path."""
-        tup = None
-        decoded = decode(data)
-        if decoded.ipv4 is not None or decoded.ipv6 is not None:
-            from ...net.flows import extract_five_tuple
-
-            tup = extract_five_tuple(decoded)
-        for rule in self.rules:
-            if rule.matches(tup):
-                self.matched += 1
-                verdict = rule.action_pass
-                break
-        else:
+        action = self._first_match(data) if self._compiled else None
+        if action is None:
             verdict = self.default_pass
+        else:
+            self.matched += 1
+            verdict = action
         if verdict:
             self.passed += 1
         else:
             self.filtered += 1
         return verdict
+
+    def _first_match(self, data: bytes) -> Optional[bool]:
+        """Action of the first row matching ``data``, ``None`` if none does."""
+        l3, ethertype, protocol, l4, __ = header_offsets(data)
+        if protocol is None:  # non-IP: only an all-wildcard row matches
+            return next((row[-1] for row in self._compiled if row[0]), None)
+        src_port = dst_port = 0
+        if l4 is not None and protocol != PROTO_ICMP:
+            src_port = (data[l4] << 8) | data[l4 + 1]
+            dst_port = (data[l4 + 2] << 8) | data[l4 + 3]
+        ipv4 = ethertype == ETHERTYPE_IPV4
+        if ipv4:
+            src_ip = int.from_bytes(data[l3 + 12 : l3 + 16], "big")
+            dst_ip = int.from_bytes(data[l3 + 16 : l3 + 20], "big")
+        for (
+            __, row_protocol, row_src_port, row_dst_port,
+            src_value, src_mask, dst_value, dst_mask, action,
+        ) in self._compiled:
+            if row_protocol is not None and row_protocol != protocol:
+                continue
+            if row_src_port is not None and row_src_port != src_port:
+                continue
+            if row_dst_port is not None and row_dst_port != dst_port:
+                continue
+            if src_mask and (not ipv4 or src_ip & src_mask != src_value):
+                continue
+            if dst_mask and (not ipv4 or dst_ip & dst_mask != dst_value):
+                continue
+            return action
+        return None

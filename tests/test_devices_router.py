@@ -187,3 +187,42 @@ class TestRouterForwarding:
     def test_validation(self):
         with pytest.raises(ConfigError):
             Router(Simulator(), num_ports=0)
+
+
+class TestRouterVlan:
+    """A tagged frame is routed at its real IPv4 offset, not at byte 14."""
+
+    def test_tagged_frame_ttl_identification_and_checksum(self):
+        sim = Simulator()
+        router, endpoints = router_rig(sim)
+        router.add_route("192.168.0.0/16", out_port=1, next_hop_mac=NEXT_HOP)
+        out = []
+        endpoints[1].add_rx_sink(out.append)
+        sent = build_udp(frame_size=200, dst_ip="192.168.7.7", ttl=64, vlan=7)
+        before = decode(sent.data).ipv4
+        endpoints[0].send(sent)
+        sim.run()
+        assert router.forwarded == 1
+        decoded = decode(out[0].data)
+        assert [tag.vid for tag in decoded.vlan_tags] == [7]
+        assert decoded.ipv4.ttl == 63
+        assert decoded.ipv4.identification == before.identification
+        assert decoded.ipv4.verify_checksum(out[0].data, 18)
+
+    def test_tagged_frame_icmp_quote(self):
+        sim = Simulator()
+        router, endpoints = router_rig(sim)
+        router.add_route("0.0.0.0/0", out_port=1, next_hop_mac=NEXT_HOP)
+        back = []
+        endpoints[0].add_rx_sink(back.append)
+        sent = build_udp(frame_size=100, src_ip="10.0.0.5", dst_ip="8.8.8.8", ttl=1, vlan=7)
+        endpoints[0].send(sent)
+        sim.run()
+        assert router.ttl_expired == 1
+        reply = decode(back[0].data)
+        assert reply.icmp.type == 11
+        assert reply.ipv4.dst == "10.0.0.5"
+        assert reply.ethernet.dst == decode(sent.data).ethernet.src
+        # Quote: the offending IPv4 header and the first 8 bytes after it.
+        assert reply.payload == sent.data[18 : 18 + 20 + 8]
+        assert internet_checksum(back[0].data[34:]) == 0

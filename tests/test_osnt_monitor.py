@@ -73,6 +73,11 @@ class TestFilterBank:
         with pytest.raises(CaptureError):
             bank.add_rule(FilterRule())
 
+    def test_empty_bank_counts_without_reading_the_frame(self):
+        bank = FilterBank(default_pass=False)
+        assert bank.decide(b"") is False  # no rule: the bytes are never read
+        assert (bank.matched, bank.passed, bank.filtered) == (0, 0, 1)
+
     def test_counters(self):
         bank = FilterBank(default_pass=False)
         bank.add_rule(FilterRule(protocol=17))
@@ -489,6 +494,31 @@ class TestDeclarativeFilters:
             FilterRule.from_spec({"port": 80})
         with pytest.raises(CaptureError, match="pass/drop"):
             FilterRule.from_spec({"dst_port": 80, "action": "reject"})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"dst": "10.0.0.300"}, "dst"),
+            ({"dst": "nonsense/8"}, "dst"),
+            ({"src": "10.0.0.0/abc"}, "src"),
+        ],
+    )
+    def test_bad_address_fails_at_entry_naming_the_field(self, spec, field):
+        with pytest.raises(CaptureError, match=f"'{field}"):
+            FilterBank.from_rules([spec])
+
+    def test_bad_address_fails_at_add_rule(self):
+        bank = FilterBank()
+        with pytest.raises(CaptureError, match="'src_ip'"):
+            bank.add_rule(FilterRule(src_ip="1.2.3"))
+        assert bank.rules == []
+
+    def test_monitor_add_filter_rejects_bad_address(self):
+        from repro.osnt import OSNT
+
+        monitor = OSNT(Simulator()).monitor(1)
+        with pytest.raises(CaptureError, match="'dst_ip'"):
+            monitor.add_filter(dst_ip="10.0.0.256")
 
     def test_from_spec_passthrough(self):
         rule = FilterRule(dst_port=80)
