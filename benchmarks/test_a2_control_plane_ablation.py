@@ -15,7 +15,7 @@ from repro.analysis import format_table
 from repro.devices import SwitchProfile
 from repro.oflops import ModuleRunner, OflopsContext
 from repro.oflops.modules import ControlInteractionModule, FlowExpiryModule
-from repro.testbed import measure_flowmod_latency
+from repro.testbed import flowmod_latency_point
 from repro.units import us
 
 DELAY_SPLITS = [
@@ -30,11 +30,11 @@ def test_a2a_delay_split_ablation(benchmark):
     def sweep():
         results = []
         for label, firmware, write in DELAY_SPLITS:
-            result = measure_flowmod_latency(
+            result = flowmod_latency_point(
                 n_rules=16,
                 barrier_mode="spec",
-                firmware_delay_ps=firmware,
-                table_write_ps=write,
+                firmware_delay=firmware,
+                table_write=write,
             )
             results.append((label, firmware, write, result))
         return results
@@ -48,8 +48,8 @@ def test_a2a_delay_split_ablation(benchmark):
                     label,
                     firmware / 1e6,
                     write / 1e6,
-                    round(result.data_plane_complete_ps / 1e6, 1),
-                    round(result.data_plane_complete_ps / 1e6 / result.n_rules, 1),
+                    round(result["data_plane_complete_ps"] / 1e6, 1),
+                    round(result["data_plane_complete_ps"] / 1e6 / result["n_rules"], 1),
                 ]
                 for label, firmware, write, result in results
             ],
@@ -58,10 +58,10 @@ def test_a2a_delay_split_ablation(benchmark):
     )
     by_label = {label: result for label, __, __, result in results}
     # Install time is governed by the *slower* stage (pipeline bottleneck):
-    fast_fast = by_label["fast fw / fast table"].data_plane_complete_ps
-    fast_slow = by_label["fast fw / slow table"].data_plane_complete_ps
-    slow_fast = by_label["slow fw / fast table"].data_plane_complete_ps
-    slow_slow = by_label["slow fw / slow table"].data_plane_complete_ps
+    fast_fast = by_label["fast fw / fast table"]["data_plane_complete_ps"]
+    fast_slow = by_label["fast fw / slow table"]["data_plane_complete_ps"]
+    slow_fast = by_label["slow fw / fast table"]["data_plane_complete_ps"]
+    slow_slow = by_label["slow fw / slow table"]["data_plane_complete_ps"]
     assert fast_fast < fast_slow
     assert fast_fast < slow_fast
     # Both slow stages together are no faster than either alone.

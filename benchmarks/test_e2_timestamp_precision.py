@@ -12,13 +12,17 @@ from conftest import emit, run_once
 from repro.analysis import format_table
 from repro.hw import TICK_PS, TimestampUnit
 from repro.sim import Simulator
-from repro.testbed import measure_clock_error, measure_idt_precision
+from repro.testbed import clock_error_point, idt_precision_point
 from repro.units import us
 
 
 def test_e2a_idt_precision_vs_software(benchmark):
     rows = run_once(
-        benchmark, lambda: measure_idt_precision(us(20), packet_count=500)
+        benchmark,
+        lambda: [
+            idt_precision_point(kind=kind, target_gap_ps=us(20), packet_count=500)[0]
+            for kind in ("osnt", "software")
+        ],
     )
     emit(
         format_table(
@@ -44,7 +48,14 @@ def test_e2a_idt_precision_vs_software(benchmark):
 
 
 def test_e2b_gps_discipline(benchmark):
-    rows = run_once(benchmark, lambda: measure_clock_error(horizon_s=10))
+    rows = run_once(
+        benchmark,
+        lambda: [
+            row
+            for mode in ("free-running", "gps-disciplined")
+            for row in clock_error_point(mode=mode, horizon_s=10)[0]
+        ],
+    )
     table = {}
     for row in rows:
         table.setdefault(row.after_seconds, {})[row.mode] = row.abs_error_ns

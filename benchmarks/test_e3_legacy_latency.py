@@ -8,7 +8,7 @@ simulated commercial L2 switch, measured with embedded TX timestamps.
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_legacy_switch_latency
+from repro.testbed import legacy_latency_point
 from repro.units import ms
 
 LOADS = [0.25, 0.5, 0.75, 0.95, 1.1]
@@ -18,9 +18,11 @@ SIZES = [64, 512, 1518]
 def test_e3_latency_vs_load(benchmark):
     rows = run_once(
         benchmark,
-        lambda: measure_legacy_switch_latency(
-            loads=LOADS, frame_sizes=SIZES, duration_ps=ms(2)
-        ),
+        lambda: [
+            legacy_latency_point(frame_size=size, load=load, duration=ms(2))[0]
+            for size in SIZES
+            for load in LOADS
+        ],
     )
     emit(
         format_table(
@@ -58,9 +60,9 @@ def test_e3_latency_vs_load(benchmark):
 def test_e3b_imix_per_size_breakdown(benchmark):
     """One IMIX run yields the full per-size latency table — the style of
     measurement per-packet hardware timestamps make possible."""
-    from repro.testbed import measure_imix_latency
+    from repro.testbed import imix_latency_point
 
-    rows = run_once(benchmark, lambda: measure_imix_latency(load=0.5, duration_ps=ms(2)))
+    rows, __ = run_once(benchmark, lambda: imix_latency_point(load=0.5, duration=ms(2)))
     emit(
         format_table(
             ["frame B", "packets", "mean us", "p99 us"],

@@ -9,7 +9,7 @@ per burst size, for a spec-honest and an eager (lying) switch firmware.
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_flowmod_latency
+from repro.testbed import flowmod_latency_point
 
 RULE_COUNTS = [8, 32, 64]
 
@@ -19,7 +19,7 @@ def test_e4_control_vs_data_plane(benchmark):
         results = []
         for mode in ("spec", "eager"):
             for n_rules in RULE_COUNTS:
-                results.append(measure_flowmod_latency(n_rules=n_rules, barrier_mode=mode))
+                results.append(flowmod_latency_point(n_rules=n_rules, barrier_mode=mode))
         return results
 
     results = run_once(benchmark, sweep)
@@ -28,23 +28,23 @@ def test_e4_control_vs_data_plane(benchmark):
             ["firmware", "rules", "barrier us", "first rule us", "all rules us", "barrier error us"],
             [
                 [
-                    result.barrier_mode,
-                    result.n_rules,
-                    round(result.control_latency_ps / 1e6, 1),
-                    round(min(result.rule_activation_ps) / 1e6, 1),
-                    round(result.data_plane_complete_ps / 1e6, 1),
-                    round(result.control_says_done_before_data_ps / 1e6, 1),
+                    result["barrier_mode"],
+                    result["n_rules"],
+                    round(result["control_latency_ps"] / 1e6, 1),
+                    round(min(result["rule_activation_ps"]) / 1e6, 1),
+                    round(result["data_plane_complete_ps"] / 1e6, 1),
+                    round(result["control_says_done_before_data_ps"] / 1e6, 1),
                 ]
                 for result in results
             ],
             title="E4: flow-table update latency, control vs data plane (demo Part II)",
         )
     )
-    spec = [r for r in results if r.barrier_mode == "spec"]
-    eager = [r for r in results if r.barrier_mode == "eager"]
+    spec = [r for r in results if r["barrier_mode"] == "spec"]
+    eager = [r for r in results if r["barrier_mode"] == "eager"]
     # Data-plane completion scales with burst size on both firmwares.
     for series in (spec, eager):
-        done = [r.data_plane_complete_ps for r in series]
+        done = [r["data_plane_complete_ps"] for r in series]
         assert done == sorted(done)
         assert done[-1] > 3 * done[0]
     # The honest barrier tracks the data plane to within measurement
@@ -54,18 +54,18 @@ def test_e4_control_vs_data_plane(benchmark):
     from repro.units import us
 
     for result in spec:
-        probe_cycle_ps = result.n_rules * us(2)
-        assert result.control_says_done_before_data_ps < probe_cycle_ps
-    eager_errors = [r.control_says_done_before_data_ps for r in eager]
+        probe_cycle_ps = result["n_rules"] * us(2)
+        assert result["control_says_done_before_data_ps"] < probe_cycle_ps
+    eager_errors = [r["control_says_done_before_data_ps"] for r in eager]
     assert all(err > us(300) for err in eager_errors)
     assert eager_errors == sorted(eager_errors)
 
 
 def test_e4_per_rule_activation_series(benchmark):
     result = run_once(
-        benchmark, lambda: measure_flowmod_latency(n_rules=16, barrier_mode="spec")
+        benchmark, lambda: flowmod_latency_point(n_rules=16, barrier_mode="spec")
     )
-    activations_us = [a / 1e6 for a in result.rule_activation_ps]
+    activations_us = [a / 1e6 for a in result["rule_activation_ps"]]
     steps = [b - a for a, b in zip(activations_us, activations_us[1:])]
     emit(
         format_table(

@@ -8,7 +8,7 @@ burst rewrite of the table, per firmware and burst size.
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_forwarding_consistency
+from repro.testbed import forwarding_consistency_point
 
 RULE_COUNTS = [8, 32]
 
@@ -19,7 +19,7 @@ def test_e5_forwarding_consistency(benchmark):
         for mode in ("spec", "eager"):
             for n_rules in RULE_COUNTS:
                 results.append(
-                    measure_forwarding_consistency(n_rules=n_rules, barrier_mode=mode)
+                    forwarding_consistency_point(n_rules=n_rules, barrier_mode=mode)
                 )
         return results
 

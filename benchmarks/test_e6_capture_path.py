@@ -9,7 +9,7 @@ path and each hardware reducer (cut / thin / cut+thin).
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_capture_path
+from repro.testbed import CAPTURE_VARIANTS, capture_path_point
 from repro.units import ms
 
 LOADS = [0.1, 0.3, 0.6, 0.9]
@@ -17,7 +17,12 @@ LOADS = [0.1, 0.3, 0.6, 0.9]
 
 def test_e6_capture_loss_vs_reducers(benchmark):
     rows = run_once(
-        benchmark, lambda: measure_capture_path(loads=LOADS, duration_ps=ms(2))
+        benchmark,
+        lambda: [
+            capture_path_point(load=load, variant=variant, duration=ms(2))[0]
+            for load in LOADS
+            for variant in CAPTURE_VARIANTS
+        ],
     )
     emit(
         format_table(

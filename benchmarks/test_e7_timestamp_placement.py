@@ -10,7 +10,7 @@ load; the host numbers absorb the capture path's queueing.
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_timestamp_placement
+from repro.testbed import timestamp_placement_point
 from repro.units import ms
 
 LOADS = [0.2, 0.5, 0.8]
@@ -18,7 +18,10 @@ LOADS = [0.2, 0.5, 0.8]
 
 def test_e7_mac_vs_host_timestamps(benchmark):
     rows = run_once(
-        benchmark, lambda: measure_timestamp_placement(loads=LOADS, duration_ps=ms(2))
+        benchmark,
+        lambda: [
+            timestamp_placement_point(load=load, duration=ms(2))[0] for load in LOADS
+        ],
     )
     emit(
         format_table(

@@ -24,7 +24,7 @@ def test_e8_achievable_bandwidth_and_latency(benchmark):
         spec = ExperimentSpec(
             name="e8-dut-comparison",
             scenario="rfc2544",
-            params={"frame_size": 512, "seed": 0},
+            params={"frame_size": 512},
             axes={"fabric_rate_bps": [fabric for __, fabric in DUTS]},
             retries=0,
         )
@@ -84,7 +84,6 @@ def test_e8b_frame_size_sweep(benchmark):
                 "fabric_rate_bps": 6 * GBPS,
                 "duration": "1ms",
                 "resolution": 0.05,
-                "seed": 0,
             },
             axes={"frame_size": sizes},
             retries=0,

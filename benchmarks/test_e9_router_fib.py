@@ -10,14 +10,18 @@ noise (E2 measured µs-scale), yet trivially visible to the tester.
 from conftest import emit, run_once
 
 from repro.analysis import format_table
-from repro.testbed import measure_router_latency
+from repro.testbed import router_latency_point
 
 PREFIX_LENS = [0, 8, 16, 24, 32]
 
 
 def test_e9_lpm_depth_staircase(benchmark):
     rows = run_once(
-        benchmark, lambda: measure_router_latency(PREFIX_LENS, fib_fill=500)
+        benchmark,
+        lambda: [
+            router_latency_point(prefix_len=prefix_len, fib_fill=500)[0]
+            for prefix_len in PREFIX_LENS
+        ],
     )
     emit(
         format_table(

@@ -34,7 +34,7 @@ ARMED_BUDGET = 1.15
 #: Disarmed hooks leave only None checks behind (same bar as spans).
 DISARMED_BUDGET = 1.05
 
-_WORKLOAD = dict(frame_size=256, load=0.5, duration_ps=500_000_000)  # 0.5 ms
+_WORKLOAD = dict(frame_size=256, load=0.5, duration=500_000_000)  # 0.5 ms
 
 
 def _timed_point(arm=None):

@@ -90,11 +90,11 @@ def loss_vs_speed() -> None:
     rows = []
     for rate in ["10Gbps", "40Gbps", "100Gbps"]:
         raw = effective_loss_vs_speed_point(
-            rate, corrupt_rate=0.01, protected=False, seed=2,
+            link_rate=rate, corrupt_rate=0.01, protected=False, seed=2,
             n_flows=32, flow_bytes=60_000,
         )
         prot = effective_loss_vs_speed_point(
-            rate, corrupt_rate=0.01, protected=True, seed=2,
+            link_rate=rate, corrupt_rate=0.01, protected=True, seed=2,
             n_flows=32, flow_bytes=60_000,
         )
         rows.append(

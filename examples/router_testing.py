@@ -17,8 +17,8 @@ Run:  python examples/router_testing.py
 from repro.analysis import print_table
 from repro.testbed import (
     default_switch_factory,
-    measure_router_latency,
     rfc2544_throughput,
+    router_latency_point,
 )
 from repro.units import GBPS
 
@@ -49,7 +49,10 @@ def main() -> None:
     )
 
     # Part 2: the router's LPM staircase.
-    router_rows = measure_router_latency([0, 8, 16, 24, 32], fib_fill=500)
+    router_rows = [
+        router_latency_point(prefix_len=prefix_len, fib_fill=500)[0]
+        for prefix_len in (0, 8, 16, 24, 32)
+    ]
     print_table(
         ["matched prefix", "FIB size", "mean latency µs", "p99 µs"],
         [

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the waveform recorder: watch an incast collapse unfold.
 
-Runs the A2 incast scenario (three synchronized burst trains converging
+Runs the T2 incast scenario (three synchronized burst trains converging
 on one legacy-switch egress) with a
 :class:`~repro.telemetry.WaveformRecorder` armed via
 ``observe_simulators``:
@@ -52,7 +52,7 @@ def render_ascii(points, width=64, height=8):
 def main() -> None:
     recorder = WaveformRecorder()
     with observe_simulators(waves=recorder):
-        row, _ = incast_burst_point(senders=3, duration_ps=int(ms(2)))
+        row, _ = incast_burst_point(senders=3, duration=int(ms(2)))
 
     print(
         f"incast: {row.senders} senders, {row.sent} sent, "

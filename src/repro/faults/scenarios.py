@@ -2,8 +2,8 @@
 
 Three end-to-end demonstrations that the measurement stack reacts
 correctly when the testbed is degraded on purpose — each registered as
-a named scenario in :mod:`repro.runner.scenarios`, so fault parameters
-are sweepable axes like any frame size:
+a named scenario in :data:`repro.runner.registry.BUILTINS`, so fault
+parameters are sweepable axes like any frame size:
 
 * ``lossy_link_latency`` — timestamped probes through the legacy switch
   over a link with (optionally bursty) injected loss; reports loss
@@ -31,7 +31,7 @@ from ..osnt.api import OSNT
 from ..sim import RandomStreams, Simulator
 from ..testbed.topology import legacy_testbed
 from ..testbed.workloads import udp_template
-from ..units import ms, seconds
+from ..units import Duration, ms, seconds
 from .injector import FaultInjector
 from .spec import ImpairmentSpec
 
@@ -55,21 +55,23 @@ class LossyLatencyRow:
 
 
 def lossy_link_latency_point(
-    loss_rate: float,
+    *,
+    loss_rate: float = 0.01,
     burst: float = 1.0,
     frame_size: int = 256,
     load: float = 0.05,
-    duration_ps: int = ms(2),
+    duration: Duration = ms(2),
     seed: int = 0,
     switch_seed: int = 1,
 ) -> Tuple[LossyLatencyRow, Dict[str, Any]]:
-    """Probe latency over a lossy ingress link (Part I topology).
+    """F1: probe latency through the legacy switch over a lossy link.
 
     The loss model rides the probe link OSNT→switch; dropped probes are
     counted as *injected* MAC drops, kept apart from genuine FIFO
     overflow, so the experiment can assert the un-impaired path itself
     lost nothing. ``loss_rate=0`` attaches nothing and is a
-    byte-for-byte no-op on the capture output.
+    byte-for-byte no-op on the capture output. The extras carry the
+    fault timeline digest and the row's ``observed_loss``.
     """
     sim = Simulator()
     switch = LegacySwitch(sim, rng=RandomStreams(switch_seed).stream("sw"))
@@ -91,7 +93,7 @@ def lossy_link_latency_point(
     bed.monitor.start_capture()
     bed.generator.load_template(udp_template(frame_size))
     bed.generator.set_load(load)
-    bed.generator.embed_timestamps().for_duration(duration_ps)
+    bed.generator.embed_timestamps().for_duration(duration)
     bed.generator.start()
     sim.run()
     summary = latency_from_capture(bed.monitor.packets).summary
@@ -108,7 +110,10 @@ def lossy_link_latency_point(
         mean_us=summary.mean / 1e6 if summary else 0.0,
         p99_us=summary.p99 / 1e6 if summary else 0.0,
     )
-    return row, {"fault_timeline_digest": injector.timeline_digest()}
+    return row, {
+        "fault_timeline_digest": injector.timeline_digest(),
+        "observed_loss": row.observed_loss,
+    }
 
 
 @dataclass
@@ -119,6 +124,7 @@ class HoldoverRow:
 
 
 def gps_holdover_drift_point(
+    *,
     holdover_start_s: int = 3,
     holdover_len_s: int = 4,
     horizon_s: int = 10,
@@ -126,7 +132,7 @@ def gps_holdover_drift_point(
     walk_ppb: float = 20.0,
     seed: int = 0,
 ) -> Tuple[List[HoldoverRow], Dict[str, Any]]:
-    """Clock error through a GPS holdover window (E2b, impaired).
+    """F2: clock error through a GPS holdover window (E2b, impaired).
 
     Before the window the servo keeps the error sub-µs; during it the
     clock free-runs on the drifting crystal and the error grows; after
@@ -170,26 +176,25 @@ def gps_holdover_drift_point(
 
 
 def flowmod_under_flap_point(
+    *,
     n_rules: int = 32,
-    flap_period: int = ms(10),
-    flap_down: int = ms(6),
-    deadline_ps: int = ms(30),
+    flap_period: Duration = ms(10),
+    flap_down: Duration = ms(6),
+    deadline: Duration = ms(30),
     barrier_retries: int = 3,
     barrier_mode: str = "spec",
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """The flow-mod latency measurement with the control session flapping.
+    """F3: flow_mod latency with the control channel flapping.
 
     The flap windows are deterministic (period/down-time, no RNG), so a
     fixed parameter set always exercises the same degradation path:
     setup barriers are resent up to ``barrier_retries`` times, the
     update burst may die on a down window, and the run ends at
-    ``deadline_ps`` with ``degraded=True`` plus retry counts — never an
+    ``deadline`` with ``degraded=True`` plus retry counts — never an
     exception.
     """
-    import dataclasses
-
-    from ..testbed.scenarios import measure_flowmod_latency
+    from ..testbed.scenarios import flowmod_latency_point
 
     impairments = [
         {
@@ -198,14 +203,16 @@ def flowmod_under_flap_point(
             "params": {"period": flap_period, "down_time": flap_down},
         }
     ]
-    result = measure_flowmod_latency(
+    out = flowmod_latency_point(
         n_rules=n_rules,
         barrier_mode=barrier_mode,
         impairments=impairments,
         seed=seed,
-        deadline_ps=deadline_ps,
+        deadline=deadline,
         barrier_retries=barrier_retries,
     )
-    out = dataclasses.asdict(result)
-    out["rules_activated"] = len(result.rule_activation_ps)
+    # The flap result reports how many rules made it, not the derived
+    # completion times (meaningless for a run cut off at its deadline).
+    del out["data_plane_complete_ps"], out["control_says_done_before_data_ps"]
+    out["rules_activated"] = len(out["rule_activation_ps"])
     return out

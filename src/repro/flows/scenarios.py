@@ -1,7 +1,7 @@
 """Closed-loop flow scenarios: FCT under corruption loss.
 
 Three measurement points, each registered as a sweepable scenario in
-:mod:`repro.runner.scenarios`:
+:data:`repro.runner.registry.BUILTINS`:
 
 * ``fct_vs_loss`` — the LinkGuardian headline experiment: a batch of
   flows across a corrupting link, with and without link-local
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 from ..analysis.fct import fct_report
 from ..sim import Simulator
 from ..topology import Topology
-from ..units import rate_bps, us
+from ..units import TEN_GBPS, Duration, Rate, rate_bps, us
 from .protection import LinkGuardian
 from .transport import Flow, FlowConfig, FlowEndpoint, completions_digest
 
@@ -89,22 +89,24 @@ def _apply_impairments(sim, impairments, link, seed: int):
 
 
 def fct_vs_loss_point(
-    corrupt_rate: float,
-    protected: bool,
+    *,
+    corrupt_rate: float = 1e-3,
+    protected: bool = False,
     n_flows: int = 64,
     flow_bytes: int = 60_000,
-    link_rate="10Gbps",
+    link_rate: Rate = TEN_GBPS,
     burst: float = 1.0,
-    spacing_ps: int = us(50),
+    spacing: Duration = us(50),
     seed: int = 0,
     switch_seed: int = 1,
     direction: Optional[str] = "a_to_b",
-    impairments: Optional[List[Dict[str, Any]]] = None,
+    impairments: Any = None,
     observe: bool = False,
 ) -> Dict[str, Any]:
-    """FCT distribution for a flow batch over a corrupting last hop.
+    """L1: flow completion times over a corrupting link.
 
-    The guardian rides the s1→h2 cable, corrupting the data direction
+    The guardian (LinkGuardian-style link-local protection when
+    ``protected``) rides the s1→h2 cable, corrupting the data direction
     (``direction="a_to_b"``, like LinkGuardian's single-direction
     experiments; pass None to corrupt ACKs too). The corruption pattern
     is drawn identically whether ``protected`` is on or off — same seed
@@ -124,7 +126,7 @@ def fct_vs_loss_point(
         sim, impairments, built.link_between("h1", "s1"), seed
     )
     src, dst = FlowEndpoint(built.node("h1")), FlowEndpoint(built.node("h2"))
-    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing_ps, FlowConfig())
+    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing, FlowConfig())
     records = [flow.record for flow in flows]
     result = {
         "corrupt_rate": corrupt_rate,
@@ -141,17 +143,18 @@ def fct_vs_loss_point(
 
 
 def effective_loss_vs_speed_point(
-    link_rate,
+    *,
+    link_rate: Rate = TEN_GBPS,
     corrupt_rate: float = 1e-3,
     protected: bool = True,
     n_flows: int = 16,
     flow_bytes: int = 30_000,
-    spacing_ps: int = us(50),
+    spacing: Duration = us(50),
     seed: int = 0,
     switch_seed: int = 1,
     observe: bool = False,
 ) -> Dict[str, Any]:
-    """Transport-visible loss rate at a given link speed.
+    """L2: transport-visible loss rate at a given link speed.
 
     The corruption probability is per frame, so the *per-second*
     corruption rate scales with link speed — LinkGuardian's argument
@@ -166,7 +169,7 @@ def effective_loss_vs_speed_point(
         corrupt_rate=corrupt_rate, protected=protected, seed=seed
     ).attach(built.link_between("s1", "h2"))
     src, dst = FlowEndpoint(built.node("h1")), FlowEndpoint(built.node("h2"))
-    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing_ps, FlowConfig())
+    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing, FlowConfig())
     records = [flow.record for flow in flows]
     report = fct_report(records)
     return {
@@ -181,18 +184,19 @@ def effective_loss_vs_speed_point(
 
 
 def throughput_under_bursty_corruption_point(
-    corrupt_rate: float,
-    burst: float,
+    *,
+    corrupt_rate: float = 5e-3,
+    burst: float = 4.0,
     protected: bool = True,
     n_flows: int = 8,
     flow_bytes: int = 120_000,
-    link_rate="10Gbps",
-    spacing_ps: int = us(20),
+    link_rate: Rate = TEN_GBPS,
+    spacing: Duration = us(20),
     seed: int = 0,
     switch_seed: int = 1,
     observe: bool = False,
 ) -> Dict[str, Any]:
-    """Aggregate goodput when corruption arrives in geometric bursts.
+    """L3: aggregate goodput when corruption arrives in geometric bursts.
 
     Bursts are the stress case for link-local retransmission: each
     corrupted frame needs its own recovery rounds, and back-to-back
@@ -206,7 +210,7 @@ def throughput_under_bursty_corruption_point(
         corrupt_rate=corrupt_rate, protected=protected, burst=burst, seed=seed
     ).attach(built.link_between("s1", "h2"))
     src, dst = FlowEndpoint(built.node("h1")), FlowEndpoint(built.node("h2"))
-    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing_ps, FlowConfig())
+    flows = _run_flows(sim, src, dst, n_flows, flow_bytes, spacing, FlowConfig())
     records = [flow.record for flow in flows]
     report = fct_report(records)
     aggregate_bits = sum(r.bytes_acked for r in records) * 8

@@ -13,7 +13,7 @@ from .channels import (
     TimedMessage,
 )
 from .context import OflopsContext
-from .module import MeasurementModule, ModuleRunner
+from .module import MeasurementModule, ModuleRunner, oflops_point
 from .modules import (
     ALL_MODULES,
     EchoLatencyModule,
@@ -38,6 +38,7 @@ __all__ = [
     "SnmpChannelHandle",
     "ThroughputModule",
     "TimedMessage",
+    "oflops_point",
     "render_result",
     "render_results",
 ]

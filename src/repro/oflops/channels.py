@@ -14,7 +14,6 @@ bookkeeping a module needs:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -273,30 +272,6 @@ class ControlChannelHandle:
 
     def flow_removed_events(self) -> List[ChannelEvent]:
         return self.events("flow_removed")
-
-    # -- deprecated raw accessors ---------------------------------------------
-
-    def _deprecated_raw(self, replacement: str) -> None:
-        warnings.warn(
-            f"raw TimedMessage accessors are deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def packet_ins(self) -> List[TimedMessage]:
-        """Deprecated: use :meth:`packet_in_events`."""
-        self._deprecated_raw("packet_in_events()")
-        return [t for t in self.received if isinstance(t.message, PacketIn)]
-
-    def errors(self) -> List[TimedMessage]:
-        """Deprecated: use :meth:`error_events`."""
-        self._deprecated_raw("error_events()")
-        return [t for t in self.received if isinstance(t.message, ErrorMsg)]
-
-    def flow_removed(self) -> List[TimedMessage]:
-        """Deprecated: use :meth:`flow_removed_events`."""
-        self._deprecated_raw("flow_removed_events()")
-        return [t for t in self.received if isinstance(t.message, FlowRemoved)]
 
 
 class DataChannelHandle:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..errors import OflopsError
-from ..units import seconds
+from ..errors import ConfigError, OflopsError
+from ..units import Duration, seconds, us
 from .context import OflopsContext
 
 
@@ -100,3 +100,62 @@ class ModuleRunner:
                 results["simulated_ps"]
             )
         return results
+
+
+def oflops_point(
+    *,
+    module: str,
+    dut: Optional[str] = None,
+    barrier_mode: str = "spec",
+    firmware_delay: Duration = us(10),
+    table_write: Duration = us(100),
+    control_latency: Duration = us(50),
+    n_rules: int = 32,
+    max_duration: Optional[Duration] = None,
+    impairments: Any = None,
+    seed: int = 0,
+    telemetry: bool = False,
+) -> Dict[str, Any]:
+    """One OFLOPS-turbo module run against a configured DUT profile.
+
+    ``dut`` names a profile from
+    :data:`repro.devices.openflow_switch.PROFILES`; without it the
+    switch is built from ``barrier_mode``/``firmware_delay``/
+    ``table_write``. ``n_rules`` sizes the ``flow_mod_latency`` and
+    ``forwarding_consistency`` modules; ``max_duration`` caps a
+    degradable module's deadline, which keeps impaired sweeps fast.
+    """
+    from ..devices.openflow_switch import PROFILES, SwitchProfile
+    from .modules import ALL_MODULES
+
+    if module not in ALL_MODULES:
+        known = ", ".join(sorted(ALL_MODULES))
+        raise ConfigError(f"unknown oflops module {module!r}; known: {known}")
+    if dut is None:
+        profile = SwitchProfile(
+            barrier_mode=barrier_mode,
+            firmware_delay_ps=firmware_delay,
+            table_write_ps=table_write,
+        )
+    elif dut in PROFILES:
+        profile = PROFILES[dut]
+    else:
+        raise ConfigError(f"unknown dut {dut!r}; known: {', '.join(sorted(PROFILES))}")
+    ctx = OflopsContext(
+        profile=profile,
+        control_latency_ps=control_latency,
+        impairments=impairments,
+        seed=seed,
+        root_seed=seed,
+    )
+    module_cls = ALL_MODULES[module]
+    if module in ("flow_mod_latency", "forwarding_consistency"):
+        measurement = module_cls(n_rules=n_rules)
+    else:
+        measurement = module_cls()
+    if max_duration is not None:
+        measurement.max_duration_ps = max_duration
+    result = dict(ModuleRunner(ctx).run(measurement))
+    if telemetry:
+        result["telemetry"] = ctx.snapshot()
+    return result

@@ -281,14 +281,7 @@ class TrafficMonitor:
         snaplen: Optional[int] = None,
         keep_one_in: int = 1,
         hash_packets: bool = False,
-        snap_bytes: Optional[int] = None,
     ) -> "TrafficMonitor":
-        if snap_bytes is not None:
-            from .monitor.reducers import _warn_snap_bytes
-
-            _warn_snap_bytes()
-            if snaplen is None:
-                snaplen = snap_bytes
         if snaplen is not None and snaplen < 14:
             raise CaptureError("snap length must keep at least the Ethernet header")
         self._bus.write32(self._base + 0x4, snaplen or 0)  # snap_len

@@ -387,7 +387,7 @@ def timeline_main(argv: Optional[List[str]] = None) -> int:
             row, __ = incast_burst_point(
                 senders=args.senders,
                 frame_size=args.frame_size,
-                duration_ps=int(ms(args.duration_ms)),
+                duration=int(ms(args.duration_ms)),
                 seed=args.seed,
             )
         headline = (

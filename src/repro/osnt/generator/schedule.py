@@ -10,7 +10,6 @@ what experiment E2 compares against a software generator.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Iterator, Optional, Sequence, Tuple
 
 from ...errors import ConfigError
@@ -18,7 +17,6 @@ from ...units import TEN_GBPS, frame_wire_bytes, wire_time_ps
 
 
 def _resolve_rng(
-    rng: Optional[random.Random],
     stream: Optional[random.Random],
     seed: Optional[int],
     name: str,
@@ -26,22 +24,13 @@ def _resolve_rng(
     """One RNG-resolution policy for every stochastic schedule.
 
     Priority: an explicit ``stream`` (an already-derived
-    :meth:`repro.sim.RandomStreams.stream`), then the deprecated
-    ``rng=`` kwarg, then ``seed=`` (derives the per-model stream
-    ``traffic/<name>``), then the legacy default ``Random(0)`` — kept
-    so historical constructor calls stay bit-compatible.
+    :meth:`repro.sim.RandomStreams.stream`), then ``seed=`` (derives
+    the per-model stream ``traffic/<name>``), then the historical
+    default ``Random(0)``, which keeps seedless constructor calls
+    bit-compatible.
     """
     if stream is not None:
         return stream
-    if rng is not None:
-        warnings.warn(
-            "the rng= kwarg is deprecated; pass stream= (a repro.sim "
-            "RandomStreams-derived stream), seed=, or build the model "
-            "through TrafficModelSpec",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return rng
     if seed is not None:
         from ...sim import RandomStreams
 
@@ -154,10 +143,9 @@ class PoissonGaps(Schedule):
     def __init__(
         self,
         mean_gap_ps: float,
-        rng: Optional[random.Random] = None,
+        *,
         line_rate_bps: float = TEN_GBPS,
         clamp_to_wire: bool = False,
-        *,
         stream: Optional[random.Random] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -166,7 +154,7 @@ class PoissonGaps(Schedule):
         self.mean_gap_ps = mean_gap_ps
         self.line_rate_bps = line_rate_bps
         self.clamp_to_wire = clamp_to_wire
-        self._rng = _resolve_rng(rng, stream, seed, "poisson")
+        self._rng = _resolve_rng(stream, seed, "poisson")
 
     def gap_after(self, frame_len: int) -> int:
         gap = round(self._rng.expovariate(1.0 / self.mean_gap_ps))

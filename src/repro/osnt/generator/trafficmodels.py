@@ -40,7 +40,6 @@ class MarkovOnOff(Schedule):
         mean_off_ps: float,
         peak_bps: float = TEN_GBPS,
         line_rate_bps: float = TEN_GBPS,
-        rng: Optional[random.Random] = None,
         *,
         stream: Optional[random.Random] = None,
         seed: Optional[int] = None,
@@ -53,7 +52,7 @@ class MarkovOnOff(Schedule):
         self.mean_off_ps = mean_off_ps
         self.peak_bps = peak_bps
         self.line_rate_bps = line_rate_bps
-        self._rng = _resolve_rng(rng, stream, seed, "markov_onoff")
+        self._rng = _resolve_rng(stream, seed, "markov_onoff")
         self._on_budget_ps = 0
 
     @property

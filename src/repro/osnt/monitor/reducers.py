@@ -10,7 +10,6 @@ correlated across observation points.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional
 
 from ...errors import CaptureError
@@ -19,26 +18,10 @@ from ...net.fields import u32
 from ...net.packet import Packet
 
 
-def _warn_snap_bytes() -> None:
-    warnings.warn(
-        "'snap_bytes' is deprecated; use 'snaplen' (matching net.pcap/pcapng)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class PacketCutter:
     """Truncate captured packets to ``snaplen`` (0/None disables)."""
 
-    def __init__(
-        self,
-        snaplen: Optional[int] = None,
-        snap_bytes: Optional[int] = None,
-    ) -> None:
-        if snap_bytes is not None:
-            _warn_snap_bytes()
-            if snaplen is None:
-                snaplen = snap_bytes
+    def __init__(self, snaplen: Optional[int] = None) -> None:
         self.configure(snaplen)
         self.cut = 0
 
@@ -46,17 +29,6 @@ class PacketCutter:
         if snaplen is not None and snaplen < 14:
             raise CaptureError("snap length must keep at least the Ethernet header")
         self.snaplen = snaplen
-
-    @property
-    def snap_bytes(self) -> Optional[int]:
-        """Deprecated alias of :attr:`snaplen`."""
-        _warn_snap_bytes()
-        return self.snaplen
-
-    @snap_bytes.setter
-    def snap_bytes(self, value: Optional[int]) -> None:
-        _warn_snap_bytes()
-        self.configure(value)
 
     def apply(self, packet: Packet) -> None:
         if self.snaplen is None or len(packet.data) <= self.snaplen:

@@ -21,10 +21,10 @@ import sys
 from typing import List, Optional
 
 from ..analysis.report import format_table
-from ..errors import SweepError
+from ..errors import ConfigError, SweepError
 from ..obs.flight import DEFAULT_HEARTBEAT_S
 from .execution import SweepRunner
-from .registry import get_scenario, list_scenarios
+from .registry import check_points, get_scenario, list_scenarios
 from .spec import ExperimentSpec, canonical_json
 
 _EXAMPLE_SPEC = {
@@ -148,6 +148,7 @@ def _cmd_expand(args) -> int:
     spec = _load_spec(args.spec)
     get_scenario(spec.scenario)  # fail fast on unknown scenarios
     shards = spec.expand()
+    check_points(spec.scenario, (s.params for s in shards if s.repeat == 0))
     print(
         format_table(
             ["shard", "repeat", "seed", "params"],
@@ -168,7 +169,7 @@ def _cmd_scenarios(args) -> int:
     rows = []
     for name in list_scenarios():
         fn = get_scenario(name)
-        doc = (fn.__doc__ or "").strip().splitlines()
+        doc = (getattr(fn, "fn", fn).__doc__ or "").strip().splitlines()
         rows.append([name, doc[0] if doc else ""])
     print(format_table(["scenario", "description"], rows, title="registered scenarios"))
     return 0
@@ -321,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SweepError as exc:
+    except (ConfigError, SweepError) as exc:
         print(f"osnt-sweep: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -10,8 +10,8 @@ completion:
   spec's budget and records exhausted shards as *failed* without
   aborting the sweep.
 * ``workers == 0`` — inline execution in this process (no isolation,
-  no timeout enforcement): the debugging mode, and what the thin
-  ``measure_*`` shims use so library calls never fork.
+  no timeout enforcement): the debugging mode, and what library-style
+  callers use so they never fork.
 * ``scheduler=...`` — any :class:`repro.cluster.Scheduler` backend;
   the forked pool above is just the default
   (:class:`~repro.cluster.LocalScheduler`), and
@@ -53,7 +53,7 @@ from ..obs.flight import (
     heartbeat_path,
     render_progress,
 )
-from .registry import get_scenario
+from .registry import check_points, get_scenario
 from .report import (
     STATUS_FAILED,
     STATUS_OK,
@@ -219,8 +219,7 @@ class SweepRunner:
     >>> runner = SweepRunner(spec, workers=4, checkpoint_dir="run1")
     >>> report = runner.run()          # resumes automatically on rerun
 
-    ``workers=0`` executes inline (no subprocesses, no timeouts) and is
-    what the deprecated ``measure_*`` wrappers use under the hood.
+    ``workers=0`` executes inline (no subprocesses, no timeouts).
 
     ``scheduler`` accepts any :class:`repro.cluster.Scheduler`
     (overriding ``workers``/``start_method``); by default a
@@ -390,8 +389,15 @@ class SweepRunner:
         shards whose content address is already stored are *served*,
         not executed (and count against ``max_shards`` like skipped
         work would not — cache hits are free).
+
+        Every sweep point's params are bound to the scenario first: a
+        misspelled, missing or ill-typed param raises a ConfigError
+        before any checkpoint, cache lookup or shard.
         """
         shards = self.spec.expand()
+        check_points(
+            self.spec.scenario, (s.params for s in shards if s.repeat == 0)
+        )
         completed = self._prepare_checkpoints(resume)
         records: Dict[int, ShardResult] = {}
         todo: List[Shard] = []

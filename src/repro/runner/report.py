@@ -132,8 +132,7 @@ class SweepReport:
     def require_ok(self) -> "SweepReport":
         """Raise :class:`~repro.errors.SweepError` unless every shard is ok.
 
-        Library-style callers (the deprecated ``measure_*`` shims) want
-        exceptions, not partial reports.
+        Library-style callers want exceptions, not partial reports.
         """
         from ..errors import SweepError
 

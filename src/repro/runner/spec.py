@@ -90,7 +90,8 @@ class ExperimentSpec:
       :func:`repro.runner.scenario` and ``osnt-sweep scenarios``).
     * ``params`` — base parameters passed to every shard. Rates and
       durations may be human strings (``"9.5Gbps"``, ``"10ms"``);
-      scenario code coerces them via :mod:`repro.units`.
+      the scenario binder checks and coerces them (see
+      :mod:`repro.runner.registry`).
     * ``axes`` — mapping of parameter name to the list of values to
       sweep. The cartesian product (declaration order, last axis
       fastest) defines the shards.

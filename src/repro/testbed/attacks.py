@@ -2,7 +2,7 @@
 
 Two measurement points built from the traffic-model pattern library
 (:mod:`repro.osnt.generator.trafficmodels`), registered as sweepable
-scenarios in :mod:`repro.runner.scenarios`:
+scenarios in :data:`repro.runner.registry.BUILTINS`:
 
 * ``syn_flood_flowmod`` — many-flow TCP SYN churn drives continuous
   table misses (and thus packet-ins) through the OpenFlow switch's
@@ -36,6 +36,7 @@ from ..osnt.generator.field_modifiers import Ipv4AddressSweep
 from ..osnt.generator.schedule import ConstantGap
 from ..osnt.generator.trafficspec import TrafficModelSpec
 from ..sim import RandomStreams, Simulator
+from ..units import Duration
 from ..units import duration_ps as _dur
 from ..units import ms, seconds, us
 from .topology import legacy_testbed, openflow_testbed
@@ -100,7 +101,7 @@ def _percentiles_us(rows_source) -> Dict[str, Optional[float]]:
 
 
 # ---------------------------------------------------------------------------
-# A1 — SYN-flood churn vs flow_mod latency
+# T1 — SYN-flood churn vs flow_mod latency
 # ---------------------------------------------------------------------------
 
 
@@ -129,25 +130,26 @@ class SynFloodRow:
 
 
 def syn_flood_flowmod_point(
+    *,
     n_flows: int = 256,
     n_rules: int = 16,
-    traffic=None,
+    traffic: Any = None,
     frame_size: int = 64,
-    duration_ps: int = ms(4),
-    probe_gap_ps: int = us(4),
+    duration: Duration = ms(4),
+    probe_gap: Duration = us(4),
     base_port: int = 6000,
     packet_in_queue_limit: Optional[int] = 64,
-    firmware_delay_ps: int = us(10),
-    table_write_ps: int = us(100),
-    warmup_ps: int = us(500),
-    impairments=None,
+    firmware_delay: Duration = us(10),
+    table_write: Duration = us(100),
+    warmup: Duration = us(500),
+    impairments: Any = None,
     seed: int = 0,
-    deadline_ps: Optional[int] = None,
+    deadline: Optional[Duration] = None,
     observe: bool = False,
     telemetry: bool = False,
     waveforms: bool = False,
 ) -> Tuple[SynFloodRow, Extras]:
-    """One A1 point: flow_mod latency while SYN churn floods the firmware.
+    """T1: flow_mod latency while many-flow SYN churn floods the firmware.
 
     TCP SYNs cycling ``n_flows`` source addresses enter OF port 3; no
     TCP rule exists, so every SYN misses and becomes a packet-in job on
@@ -164,8 +166,8 @@ def syn_flood_flowmod_point(
     waves = _arm_waves(sim, waveforms)
     spec = _traffic_spec(traffic)
     profile = SwitchProfile(
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
+        firmware_delay_ps=firmware_delay,
+        table_write_ps=table_write,
         packet_in_queue_limit=packet_in_queue_limit,
     )
     bed = openflow_testbed(
@@ -215,7 +217,7 @@ def syn_flood_flowmod_point(
     churn = bed.tester.generator(2)
     churn.load_template(syn, modifiers=[Ipv4AddressSweep("src", "10.9.0.1", n_flows)])
     churn.use_model(spec)
-    churn.for_duration(duration_ps)
+    churn.for_duration(duration)
     churn.start()
 
     # Timestamped probes across the rule ports; the monitor banks RTT
@@ -224,11 +226,11 @@ def syn_flood_flowmod_point(
     bed.monitor.enable_latency(per_flow=True, flow_key="dst_port")
     bed.generator._engine.configure(
         port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
+        schedule=ConstantGap(probe_gap),
         embed_timestamps=True,
     )
     bed.generator._engine.start()
-    sim.run(until=sim.now + warmup_ps)
+    sim.run(until=sim.now + warmup)
 
     # The measured update burst, racing the churn through the firmware.
     t0 = sim.now
@@ -258,9 +260,9 @@ def syn_flood_flowmod_point(
 
     bed.monitor.on_packet(on_capture)
 
-    deadline = t0 + (seconds(1) if deadline_ps is None else deadline_ps)
-    while sim.now < deadline and (len(activation) < n_rules or 2 not in barrier_times):
-        sim.run(until=min(sim.now + ms(1), deadline))
+    stop_at = t0 + (seconds(1) if deadline is None else deadline)
+    while sim.now < stop_at and (len(activation) < n_rules or 2 not in barrier_times):
+        sim.run(until=min(sim.now + ms(1), stop_at))
     bed.generator._engine.stop()
     sim.run(until=sim.now + us(100))
 
@@ -269,7 +271,7 @@ def syn_flood_flowmod_point(
         n_flows=n_flows,
         n_rules=n_rules,
         traffic=spec.fingerprint(),
-        control_latency_ps=barrier_times.get(2, deadline) - t0,
+        control_latency_ps=barrier_times.get(2, stop_at) - t0,
         rule_activation_ps=[activation[i] - t0 for i in sorted(activation)],
         degraded=len(activation) < n_rules or 2 not in barrier_times,
         churn_sent=churn.packets_sent,
@@ -291,7 +293,7 @@ def syn_flood_flowmod_point(
 
 
 # ---------------------------------------------------------------------------
-# A2 — synchronized incast onto one egress
+# T2 — synchronized incast onto one egress
 # ---------------------------------------------------------------------------
 
 #: OSNT ports available as incast senders (port 1 is the capture side).
@@ -319,12 +321,13 @@ class IncastRow:
 
 
 def incast_burst_point(
+    *,
     senders: int = 3,
-    traffic=None,
+    traffic: Any = None,
     frame_size: int = 512,
-    duration_ps: int = ms(2),
+    duration: Duration = ms(2),
     buffer_bytes: int = 32 * 1024,
-    phase_step_ps: int = 0,
+    phase_step: Duration = 0,
     switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
@@ -332,15 +335,16 @@ def incast_burst_point(
     telemetry: bool = False,
     waveforms: bool = False,
 ) -> Tuple[IncastRow, Extras]:
-    """One A2 point: ``senders`` burst trains converge on one egress.
+    """T2: ``senders`` synchronized burst trains converge on one egress.
 
     Every sender runs the *same* traffic model, so their bursts land at
     the egress FIFO simultaneously — the incast worst case. For
-    ``periodic`` models ``phase_step_ps`` staggers sender ``i`` by
-    ``i * phase_step_ps``, turning the same offered load into a
+    ``periodic`` models ``phase_step`` staggers sender ``i`` by
+    ``i * phase_step``, turning the same offered load into a
     non-overlapping schedule; the queue-peak delta between the two is
     the quantity the experiment exists to show. Per-sender RTT comes
-    from the monitor's in-band bank keyed by source IP.
+    from the monitor's in-band bank keyed by source IP. The extras
+    carry the row's ``delivery_fraction``.
     """
     from ..errors import ConfigError
 
@@ -371,8 +375,8 @@ def incast_burst_point(
                 src_ip=f"10.0.{10 + index}.1",
             )
         )
-        generator.use_model(_staggered(spec, index, phase_step_ps))
-        generator.embed_timestamps().for_duration(duration_ps)
+        generator.use_model(_staggered(spec, index, phase_step))
+        generator.embed_timestamps().for_duration(duration)
         generator.start()
         generators.append(generator)
     sim.run()
@@ -390,7 +394,7 @@ def incast_burst_point(
         flow_rtt_rows=bed.monitor.flow_latency_rows(),
         **_percentiles_us(bank),
     )
-    extras: Extras = {}
+    extras: Extras = {"delivery_fraction": row.delivery_fraction}
     if telemetry:
         extras["telemetry"] = bed.tester.snapshot()
     _wave_extras(extras, waves)

@@ -20,7 +20,7 @@ from ..analysis.latency import latency_from_capture, loss_from_sequence_numbers
 from ..devices.legacy_switch import LegacySwitch
 from ..osnt.generator.field_modifiers import SequenceNumber
 from ..sim import RandomStreams, Simulator
-from ..units import ms
+from ..units import Duration, Rate, ms
 from .topology import legacy_testbed
 from .workloads import udp_template
 
@@ -70,20 +70,24 @@ def default_switch_factory(
 
 
 def rfc2544_point(
+    *,
     frame_size: int,
-    fabric_rate_bps: Optional[float] = None,
-    duration_ps: int = ms(2),
+    fabric_rate_bps: Optional[Rate] = None,
+    duration: Duration = ms(2),
     resolution: float = 0.01,
     switch_seed: int = 1,
 ) -> ThroughputResult:
-    """One spec-friendly RFC 2544 search: all-data parameters, no
-    factory closures — what the ``rfc2544`` scenario runs per shard."""
+    """E8: RFC 2544 zero-loss throughput search for one frame size.
+
+    All-data parameters, no factory closures: the legacy switch is
+    built from ``fabric_rate_bps`` (None: non-blocking) and
+    ``switch_seed``."""
     return rfc2544_throughput(
         frame_size,
         switch_factory=default_switch_factory(
             fabric_rate_bps=fabric_rate_bps, switch_seed=switch_seed
         ),
-        duration_ps=duration_ps,
+        duration_ps=duration,
         resolution=resolution,
     )
 

@@ -1,16 +1,12 @@
-"""Reusable measurement scenarios — the code behind experiments E1–E7.
+"""Reusable measurement scenarios — the code behind experiments E1–E9.
 
-Each experiment is factored into a **single-point function**
-(``*_point``): build one fresh topology, run one measurement, return a
-plain dataclass row plus an extras dict (telemetry when requested).
-The point functions are registered as named scenarios in
-:mod:`repro.runner.scenarios`, which is what makes them sweepable,
-shardable and resumable through :class:`~repro.runner.ExperimentSpec`.
-
-The original ``measure_*`` entry points remain as **thin deprecation
-shims**: each builds the equivalent spec and runs it inline via
-:func:`repro.runner.run_spec`, returning the same row lists as before.
-New code should construct specs directly (see ``docs/RUNNER.md``).
+Each experiment is one **point function** (``*_point``): build one
+fresh topology, run one measurement, return a plain dataclass row
+(plus an extras dict, e.g. a telemetry snapshot when requested).
+Point functions take keyword-only parameters named like the spec
+params; :data:`repro.runner.registry.BUILTINS` registers them as named
+scenarios, which is what makes them sweepable, shardable and resumable
+through :class:`~repro.runner.ExperimentSpec` (see ``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
@@ -33,8 +29,9 @@ from ..osnt.generator.schedule import ConstantBitRate, ConstantGap
 from ..osnt.software_baseline import SoftwareGenerator
 from ..sim import RandomStreams, Simulator
 from ..units import (
-    GBPS,
     TEN_GBPS,
+    Duration,
+    Rate,
     line_rate_goodput_bps,
     line_rate_pps,
     ms,
@@ -46,21 +43,6 @@ from .workloads import fixed_size_source, port_sweep_source, udp_template
 
 #: Extras returned by every point function (telemetry snapshots etc.).
 Extras = Dict[str, Any]
-
-
-def _row_from_result(cls, result: Dict[str, Any]):
-    """Rebuild a row dataclass from a (possibly larger) result dict."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in result.items() if key in names})
-
-
-def _run_shim_spec(spec) -> List[Dict[str, Any]]:
-    """Run a shim's spec inline; surface any shard failure as an error."""
-    from ..runner import run_spec
-
-    report = run_spec(spec, workers=0)
-    report.require_ok()
-    return report.results()
 
 
 def _maybe_snapshot(tester: OSNT, telemetry: bool) -> Extras:
@@ -87,8 +69,9 @@ class LineRateRow:
 
 
 def line_rate_point(
+    *,
     frame_size: int,
-    duration_ps: int = ms(1),
+    duration: Duration = ms(1),
     ports: int = 1,
     seed: int = 0,
     telemetry: bool = False,
@@ -110,7 +93,7 @@ def line_rate_point(
     for port_index in active:
         generator = tester.generator(port_index)
         generator.load_template(udp_template(frame_size)).at_line_rate()
-        generator.for_duration(duration_ps)
+        generator.for_duration(duration)
         generator.start()
         generators.append(generator)
     sim.run()
@@ -123,25 +106,6 @@ def line_rate_point(
         theoretical_goodput_bps=line_rate_goodput_bps(frame_size) * len(active),
     )
     return row, _maybe_snapshot(tester, telemetry)
-
-
-def measure_line_rate(
-    frame_sizes: List[int],
-    duration_ps: int = ms(1),
-    ports: int = 1,
-) -> List[LineRateRow]:
-    """Deprecated shim over the ``line_rate`` scenario (docs/RUNNER.md)."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_line_rate",
-        scenario="line_rate",
-        params={"duration": duration_ps, "ports": ports, "seed": 0},
-        axes={"frame_size": list(frame_sizes)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(LineRateRow, r) for r in _run_shim_spec(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +123,17 @@ class PrecisionRow:
 
 
 def idt_precision_point(
+    *,
     kind: str,
-    target_gap_ps: int,
+    target_gap_ps: Duration,
     packet_count: int = 500,
     frame_size: int = 128,
     seed: int = 0,
 ) -> Tuple[PrecisionRow, Extras]:
-    """One E2 point: wire-level inter-departure precision for one
-    generator kind (``"osnt"`` hardware model or ``"software"`` host)."""
+    """E2: wire-level inter-departure precision for one generator kind.
+
+    ``kind`` is ``"osnt"`` (the hardware model) or ``"software"`` (the
+    host-stack baseline)."""
     sim = Simulator()
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
@@ -208,31 +175,6 @@ def idt_precision_point(
     return row, {}
 
 
-def measure_idt_precision(
-    target_gap_ps: int,
-    packet_count: int = 500,
-    frame_size: int = 128,
-    seed: int = 0,
-) -> List[PrecisionRow]:
-    """Deprecated shim over the ``idt_precision`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_idt_precision",
-        scenario="idt_precision",
-        params={
-            "target_gap_ps": target_gap_ps,
-            "packet_count": packet_count,
-            "frame_size": frame_size,
-            "seed": seed,
-        },
-        axes={"kind": ["osnt", "software"]},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(PrecisionRow, r) for r in _run_shim_spec(spec)]
-
-
 @dataclass
 class ClockErrorRow:
     mode: str  # "free-running" or "gps-disciplined"
@@ -241,6 +183,7 @@ class ClockErrorRow:
 
 
 def clock_error_point(
+    *,
     mode: str,
     freq_error_ppm: float = 30.0,
     walk_ppb: float = 20.0,
@@ -272,34 +215,6 @@ def clock_error_point(
     return rows, {}
 
 
-def measure_clock_error(
-    freq_error_ppm: float = 30.0,
-    walk_ppb: float = 20.0,
-    horizon_s: int = 10,
-    seed: int = 0,
-) -> List[ClockErrorRow]:
-    """Deprecated shim over the ``clock_error`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_clock_error",
-        scenario="clock_error",
-        params={
-            "freq_error_ppm": freq_error_ppm,
-            "walk_ppb": walk_ppb,
-            "horizon_s": horizon_s,
-            "seed": seed,
-        },
-        axes={"mode": ["free-running", "gps-disciplined"]},
-        timeout_s=None,
-        retries=0,
-    )
-    rows: List[ClockErrorRow] = []
-    for result in _run_shim_spec(spec):
-        rows.extend(_row_from_result(ClockErrorRow, r) for r in result["rows"])
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # E3 — legacy switch latency vs load (demo Part I)
 # ---------------------------------------------------------------------------
@@ -319,9 +234,10 @@ class LatencyRow:
 
 
 def legacy_latency_point(
+    *,
     frame_size: int,
     load: float,
-    duration_ps: int = ms(2),
+    duration: Duration = ms(2),
     probe_load: float = 0.05,
     switch_kwargs: Optional[dict] = None,
     seed: int = 0,
@@ -359,11 +275,11 @@ def legacy_latency_point(
 
         wire_ps = wire_time_ps(frame_wire_bytes(frame_size), TEN_GBPS)
         background.poisson(wire_ps / min(background_load, 1.0))
-        background.for_duration(duration_ps)
+        background.for_duration(duration)
         background.start()
     bed.generator.load_template(udp_template(frame_size))
     bed.generator.set_load(min(load, probe_load))
-    bed.generator.embed_timestamps().for_duration(duration_ps)
+    bed.generator.embed_timestamps().for_duration(duration)
     bed.generator.start()
     sim.run()
     result = latency_from_capture(bed.monitor.packets)
@@ -382,33 +298,6 @@ def legacy_latency_point(
     return row, _maybe_snapshot(bed.tester, telemetry)
 
 
-def measure_legacy_switch_latency(
-    loads: List[float],
-    frame_sizes: List[int],
-    duration_ps: int = ms(2),
-    probe_load: float = 0.05,
-    switch_kwargs: Optional[dict] = None,
-) -> List[LatencyRow]:
-    """Deprecated shim over the ``legacy_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_legacy_switch_latency",
-        scenario="legacy_latency",
-        params={
-            "duration": duration_ps,
-            "probe_load": probe_load,
-            "switch_kwargs": switch_kwargs,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        axes={"frame_size": list(frame_sizes), "load": list(loads)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(LatencyRow, r) for r in _run_shim_spec(spec)]
-
-
 # ---------------------------------------------------------------------------
 # E4 — flow_mod install latency, control vs data plane (demo Part II)
 # ---------------------------------------------------------------------------
@@ -425,7 +314,7 @@ class FlowModResult:
     rule_activation_ps: List[int] = field(default_factory=list)
     #: True when the run hit its deadline with rules unactivated or the
     #: barrier unanswered (fault-injection runs); healthy runs report
-    #: False and the ``flowmod_latency`` scenario omits the field.
+    #: False and :func:`flowmod_latency_point` omits the field.
     degraded: bool = False
     #: Setup-barrier resends that were needed (flapped control channel).
     control_retries: int = 0
@@ -440,41 +329,43 @@ class FlowModResult:
         return self.data_plane_complete_ps - self.control_latency_ps
 
 
-def measure_flowmod_latency(
+def flowmod_latency_point(
+    *,
     n_rules: int = 32,
     barrier_mode: str = "spec",
-    firmware_delay_ps: int = us(10),
-    table_write_ps: int = us(100),
-    probe_gap_ps: int = us(2),
+    firmware_delay: Duration = us(10),
+    table_write: Duration = us(100),
+    probe_gap: Duration = us(2),
     base_port: int = 6000,
-    impairments=None,
+    impairments: Any = None,
     seed: int = 0,
-    deadline_ps: Optional[int] = None,
+    deadline: Optional[Duration] = None,
     barrier_retries: int = 3,
-) -> FlowModResult:
-    """Demo Part II: latency to modify the flow table, measured both ways.
+) -> Dict[str, Any]:
+    """E4: flow_mod install latency, control vs data plane.
 
     A catch-all drop rule keeps probe misses off the control channel;
     probes cycle ``n_rules`` UDP destination ports; each new rule's
-    activation is the RX timestamp of the first probe it forwards.
+    activation is the RX timestamp of the first probe it forwards. The
+    result is the :class:`FlowModResult` row plus its derived
+    ``data_plane_complete_ps`` and ``control_says_done_before_data_ps``.
 
     ``impairments`` accepts anything
     :meth:`repro.faults.ImpairmentSpec.from_any` does; under active
     faults the run degrades instead of crashing: setup barriers are
-    resent up to ``barrier_retries`` times, and a deadline hit reports
-    ``degraded=True`` with whatever activated. Without impairments the
-    measurement (and its event timeline) is exactly the historical one.
-
-    (Already a single measurement point — registered directly as the
-    ``flowmod_latency`` scenario.)
+    resent up to ``barrier_retries`` times, and a ``deadline`` hit
+    (default 2 s after the update burst) reports ``degraded=True``
+    with whatever activated. Without impairments the measurement (and
+    its event timeline) is exactly the historical one, and a healthy
+    run omits ``degraded``/``control_retries`` from its result.
     """
     from ..faults import FaultInjector, ImpairmentSpec
 
     sim = Simulator()
     profile = SwitchProfile(
         barrier_mode=barrier_mode,
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
+        firmware_delay_ps=firmware_delay,
+        table_write_ps=table_write,
     )
     bed = openflow_testbed(sim, profile=profile)
     spec = ImpairmentSpec.from_any(impairments)
@@ -517,7 +408,7 @@ def measure_flowmod_latency(
     bed.monitor.start_capture()
     bed.generator._engine.configure(
         port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
+        schedule=ConstantGap(probe_gap),
         embed_timestamps=False,
     )
     bed.generator._engine.start()
@@ -551,22 +442,28 @@ def measure_flowmod_latency(
     bed.monitor.on_packet(on_capture)
 
     # Run until every rule has forwarded and the barrier came back.
-    deadline = t0 + (seconds(2) if deadline_ps is None else deadline_ps)
-    while sim.now < deadline and (len(activation) < n_rules or 2 not in barrier_times):
-        sim.run(until=min(sim.now + ms(1), deadline))
+    stop_at = t0 + (seconds(2) if deadline is None else deadline)
+    while sim.now < stop_at and (len(activation) < n_rules or 2 not in barrier_times):
+        sim.run(until=min(sim.now + ms(1), stop_at))
     bed.generator._engine.stop()
     sim.run(until=sim.now + us(100))
 
-    return FlowModResult(
+    result = FlowModResult(
         barrier_mode=barrier_mode,
         n_rules=n_rules,
-        control_latency_ps=barrier_times.get(2, deadline) - t0,
+        control_latency_ps=barrier_times.get(2, stop_at) - t0,
         rule_activation_ps=[
             activation[index] - t0 for index in sorted(activation)
         ],
         degraded=len(activation) < n_rules or 2 not in barrier_times,
         control_retries=control_retries,
     )
+    out = dataclasses.asdict(result)
+    out["data_plane_complete_ps"] = result.data_plane_complete_ps
+    out["control_says_done_before_data_ps"] = result.control_says_done_before_data_ps
+    if not impairments and not result.degraded and not result.control_retries:
+        del out["degraded"], out["control_retries"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,29 +485,27 @@ class ConsistencyResult:
     barrier_latency_ps: int
 
 
-def measure_forwarding_consistency(
+def forwarding_consistency_point(
+    *,
     n_rules: int = 32,
     barrier_mode: str = "eager",
-    firmware_delay_ps: int = us(30),
-    table_write_ps: int = us(50),
-    probe_gap_ps: int = us(2),
+    firmware_delay: Duration = us(30),
+    table_write: Duration = us(50),
+    probe_gap: Duration = us(2),
     base_port: int = 7000,
 ) -> ConsistencyResult:
-    """Demo Part II: is forwarding consistent with control-plane claims?
+    """E5: forwarding consistency during a large table update.
 
     Rules initially steer ``n_rules`` flows to OF port 2 (old). The
     burst rewrites them all to OF port 3 (new). A "stale" probe is one
     the switch still delivers to the old port — counted against both the
     update start and the barrier reply.
-
-    (Already a single measurement point — registered directly as the
-    ``forwarding_consistency`` scenario.)
     """
     sim = Simulator()
     profile = SwitchProfile(
         barrier_mode=barrier_mode,
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
+        firmware_delay_ps=firmware_delay,
+        table_write_ps=table_write,
     )
     bed = openflow_testbed(sim, profile=profile, wire_cross_ports=True)
     old_port, new_port = 2, 3
@@ -641,7 +536,7 @@ def measure_forwarding_consistency(
     new_monitor.start_capture()
     bed.generator._engine.configure(
         port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
+        schedule=ConstantGap(probe_gap),
     )
     bed.generator._engine.start()
     sim.run(until=sim.now + ms(1))  # steady state via old port
@@ -712,18 +607,26 @@ CAPTURE_VARIANTS: List[Dict[str, Any]] = [
 
 
 def capture_path_point(
+    *,
     load: float,
     variant: Optional[Dict[str, Any]] = None,
     frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 2 * GBPS,
+    duration: Duration = ms(2),
+    dma_bandwidth_bps: Rate = 2e9,
     seed: int = 0,
 ) -> Tuple[CaptureRow, Extras]:
-    """One E6 point: capture completeness for one load and one reducer
-    variant (``{"name": ..., "snaplen": ..., "keep_one_in": ...}``;
-    the deprecated ``snap_bytes`` key is still honoured)."""
+    """E6: capture completeness for one load and one reducer variant.
+
+    ``variant`` is ``{"name": ..., "snaplen": ..., "keep_one_in": ...,
+    "hash_packets": ...}`` (see :data:`CAPTURE_VARIANTS`)."""
     variant = dict(variant or {"name": "full"})
     variant_name = variant.pop("name", "custom")
+    unknown = set(variant) - {"snaplen", "keep_one_in", "hash_packets"}
+    if unknown:
+        from ..errors import ConfigError
+
+        keys = ", ".join(sorted(unknown))
+        raise ConfigError(f"unknown capture variant key(s): {keys}")
     sim = Simulator()
     tester = OSNT(sim, root_seed=seed, dma_bandwidth_bps=dma_bandwidth_bps)
     connect(tester.port(0), tester.port(1))
@@ -731,7 +634,7 @@ def capture_path_point(
     monitor.start_capture(**variant)
     generator = tester.generator(0)
     generator.load_template(udp_template(frame_size))
-    generator.set_load(load).for_duration(duration_ps)
+    generator.set_load(load).for_duration(duration)
     generator.start()
     sim.run()
     pipeline = tester.device.monitor(1)
@@ -743,31 +646,6 @@ def capture_path_point(
         dropped=pipeline.dma_drops_at_port,
     )
     return row, {}
-
-
-def measure_capture_path(
-    loads: List[float],
-    frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 2 * GBPS,
-) -> List[CaptureRow]:
-    """Deprecated shim over the ``capture_path`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_capture_path",
-        scenario="capture_path",
-        params={
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "dma_bandwidth_bps": dma_bandwidth_bps,
-            "seed": 0,
-        },
-        axes={"load": list(loads), "variant": list(CAPTURE_VARIANTS)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(CaptureRow, r) for r in _run_shim_spec(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +668,17 @@ class PlacementRow:
 
 
 def timestamp_placement_point(
+    *,
     load: float,
     frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 4 * GBPS,
+    duration: Duration = ms(2),
+    dma_bandwidth_bps: Rate = 4e9,
     seed: int = 0,
     switch_seed: int = 1,
 ) -> Tuple[PlacementRow, Extras]:
-    """One E7 point: hardware vs host-side latency spread at one load —
-    quantifying the "queueing noise" the MAC-side stamp eliminates."""
+    """E7: hardware vs host-side latency spread at one load.
+
+    Quantifies the "queueing noise" the MAC-side stamp eliminates."""
     sim = Simulator()
     switch = LegacySwitch(sim, rng=RandomStreams(switch_seed).stream("sw"))
     bed = legacy_testbed(
@@ -811,7 +691,7 @@ def timestamp_placement_point(
         lambda packet: host_arrivals.__setitem__(packet.packet_id, sim.now)
     )
     bed.generator.load_template(udp_template(frame_size))
-    bed.generator.set_load(load).embed_timestamps().for_duration(duration_ps)
+    bed.generator.set_load(load).embed_timestamps().for_duration(duration)
     bed.generator.start()
     sim.run()
     from ..osnt.generator.tx_timestamp import extract_ps
@@ -836,32 +716,6 @@ def timestamp_placement_point(
     return row, {}
 
 
-def measure_timestamp_placement(
-    loads: List[float],
-    frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 4 * GBPS,
-) -> List[PlacementRow]:
-    """Deprecated shim over the ``timestamp_placement`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_timestamp_placement",
-        scenario="timestamp_placement",
-        params={
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "dma_bandwidth_bps": dma_bandwidth_bps,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        axes={"load": list(loads)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(PlacementRow, r) for r in _run_shim_spec(spec)]
-
-
 # ---------------------------------------------------------------------------
 # E9 — router forwarding latency vs FIB shape
 # ---------------------------------------------------------------------------
@@ -879,10 +733,11 @@ class RouterLatencyRow:
 
 
 def router_latency_point(
+    *,
     prefix_len: int,
     fib_fill: int = 1000,
     frame_size: int = 256,
-    duration_ps: int = ms(1),
+    duration: Duration = ms(1),
     seed: int = 0,
 ) -> Tuple[RouterLatencyRow, Extras]:
     """One E9 point: forwarding latency at one matched-prefix depth.
@@ -915,7 +770,7 @@ def router_latency_point(
     monitor.start_capture()
     generator = tester.generator(0)
     generator.load_template(udp_template(frame_size, dst_ip="10.0.0.1"))
-    generator.set_load(0.2).embed_timestamps().for_duration(duration_ps)
+    generator.set_load(0.2).embed_timestamps().for_duration(duration)
     generator.start()
     sim.run()
     result = latency_from_capture(monitor.packets)
@@ -932,31 +787,6 @@ def router_latency_point(
     return row, {}
 
 
-def measure_router_latency(
-    prefix_lens: List[int],
-    fib_fill: int = 1000,
-    frame_size: int = 256,
-    duration_ps: int = ms(1),
-) -> List[RouterLatencyRow]:
-    """Deprecated shim over the ``router_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_router_latency",
-        scenario="router_latency",
-        params={
-            "fib_fill": fib_fill,
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "seed": 0,
-        },
-        axes={"prefix_len": list(prefix_lens)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(RouterLatencyRow, r) for r in _run_shim_spec(spec)]
-
-
 # ---------------------------------------------------------------------------
 # E3b — per-size latency from one mixed (IMIX) stream
 # ---------------------------------------------------------------------------
@@ -971,14 +801,14 @@ class ImixLatencyRow:
 
 
 def imix_latency_point(
+    *,
     load: float = 0.5,
-    duration_ps: int = ms(2),
+    duration: Duration = ms(2),
     switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
 ) -> Tuple[List[ImixLatencyRow], Extras]:
-    """One E3b run: one IMIX stream through the switch, latency
-    classified per frame size from the single capture.
+    """E3b: per-size latency classified from one IMIX stream's capture.
 
     This is the measurement style hardware testers enable: because every
     captured packet carries its own embedded TX stamp, one mixed-traffic
@@ -999,7 +829,7 @@ def imix_latency_point(
     bed.generator._engine.configure(
         PacketListSource(packets, loop=10**6),
         schedule=ConstantBitRate(load * TEN_GBPS),
-        duration_ps=duration_ps,
+        duration_ps=duration,
         embed_timestamps=True,
     )
     bed.generator._engine.start()
@@ -1025,28 +855,3 @@ def imix_latency_point(
             )
         )
     return rows, {}
-
-
-def measure_imix_latency(
-    load: float = 0.5,
-    duration_ps: int = ms(2),
-    switch_kwargs: Optional[dict] = None,
-) -> List[ImixLatencyRow]:
-    """Deprecated shim over the ``imix_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_imix_latency",
-        scenario="imix_latency",
-        params={
-            "load": load,
-            "duration": duration_ps,
-            "switch_kwargs": switch_kwargs,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        timeout_s=None,
-        retries=0,
-    )
-    (result,) = _run_shim_spec(spec)
-    return [_row_from_result(ImixLatencyRow, r) for r in result["rows"]]

@@ -6,29 +6,20 @@ Part II adds the OpenFlow control channel (OFLOPS-turbo host ↔ switch)
 and an SNMP channel.
 
 Both shapes are declared through :class:`repro.topology.Topology` and
-materialized by :func:`legacy_testbed` / :func:`openflow_testbed`.  The
-old ``LegacySwitchTestbed(sim, ...)`` / ``OpenFlowTestbed(sim, ...)``
-constructors still work but emit a :class:`DeprecationWarning`; new
-code should call the factories (or declare its own
-:class:`~repro.topology.Topology`).
+materialized by :func:`legacy_testbed` / :func:`openflow_testbed` (or
+declare your own :class:`~repro.topology.Topology`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
 from ..osnt.api import TrafficGenerator, TrafficMonitor
 from ..sim import Simulator
-from ..topology import Topology
+from ..topology import BuiltTopology, Topology
 from ..units import us
-
-_DEPRECATION = (
-    "constructing {cls}(sim, ...) directly is deprecated; use "
-    "repro.testbed.{factory}(sim, ...) or declare a repro.topology.Topology"
-)
 
 
 def legacy_switch_topology(wire_cross_ports: bool = False) -> Topology:
@@ -70,36 +61,14 @@ def openflow_topology(
 
 
 class LegacySwitchTestbed:
-    """Part I: OSNT ↔ legacy switch.
+    """Part I: OSNT ↔ legacy switch, as built by :func:`legacy_testbed`.
 
     * OSNT port 0 → switch port 0 (traffic in)
     * switch port 1 → OSNT port 1 (traffic out, captured)
     * optionally OSNT ports 2/3 ↔ switch ports 2/3 for cross traffic
-
-    .. deprecated:: use :func:`legacy_testbed` (same arguments, same
-       attributes, no behaviour change).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        switch: Optional[LegacySwitch] = None,
-        wire_cross_ports: bool = False,
-        **osnt_kwargs,
-    ) -> None:
-        warnings.warn(
-            _DEPRECATION.format(cls="LegacySwitchTestbed", factory="legacy_testbed"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(sim, switch, wire_cross_ports, osnt_kwargs)
-
-    def _init(self, sim, switch, wire_cross_ports, osnt_kwargs) -> None:
-        topo = legacy_switch_topology(wire_cross_ports)
-        if osnt_kwargs:
-            topo.nodes[0].params.update(osnt_kwargs)
-        devices = {"sw": switch} if switch is not None else None
-        built = topo.build(sim, devices=devices)
+    def __init__(self, sim: Simulator, built: BuiltTopology) -> None:
         self.sim = sim
         self.topology = built
         self.tester = built.node("osnt")
@@ -124,48 +93,14 @@ class LegacySwitchTestbed:
 
 
 class OpenFlowTestbed:
-    """Part II: OSNT ↔ OpenFlow switch + control channel + SNMP.
+    """Part II: OSNT ↔ OpenFlow switch + control channel + SNMP, as built
+    by :func:`openflow_testbed`.
 
     The controller endpoint is left unwired (``on_message`` unset): the
     OFLOPS-turbo context claims it when a measurement module starts.
-
-    .. deprecated:: use :func:`openflow_testbed` (same arguments, same
-       attributes, no behaviour change).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        profile: Optional[SwitchProfile] = None,
-        control_latency_ps: int = us(50),
-        num_switch_ports: int = 4,
-        wire_cross_ports: bool = False,
-        **osnt_kwargs,
-    ) -> None:
-        warnings.warn(
-            _DEPRECATION.format(cls="OpenFlowTestbed", factory="openflow_testbed"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            sim, profile, control_latency_ps, num_switch_ports,
-            wire_cross_ports, osnt_kwargs,
-        )
-
-    def _init(
-        self, sim, profile, control_latency_ps, num_switch_ports,
-        wire_cross_ports, osnt_kwargs,
-    ) -> None:
-        topo = openflow_topology(
-            control_latency_ps=control_latency_ps,
-            num_switch_ports=num_switch_ports,
-            wire_cross_ports=wire_cross_ports,
-        )
-        if profile is not None:
-            topo.nodes[0].params["profile"] = profile
-        if osnt_kwargs:
-            topo.nodes[1].params.update(osnt_kwargs)
-        built = topo.build(sim)
+    def __init__(self, sim: Simulator, built: BuiltTopology) -> None:
         self.sim = sim
         self.topology = built
         self.channel = built.control_channel("ofsw")
@@ -193,10 +128,12 @@ def legacy_testbed(
     wire_cross_ports: bool = False,
     **osnt_kwargs,
 ) -> LegacySwitchTestbed:
-    """Build the Part-I testbed (no deprecation warning)."""
-    bed = object.__new__(LegacySwitchTestbed)
-    bed._init(sim, switch, wire_cross_ports, osnt_kwargs)
-    return bed
+    """Build the Part-I testbed."""
+    topo = legacy_switch_topology(wire_cross_ports)
+    if osnt_kwargs:
+        topo.nodes[0].params.update(osnt_kwargs)
+    devices = {"sw": switch} if switch is not None else None
+    return LegacySwitchTestbed(sim, topo.build(sim, devices=devices))
 
 
 def openflow_testbed(
@@ -207,10 +144,14 @@ def openflow_testbed(
     wire_cross_ports: bool = False,
     **osnt_kwargs,
 ) -> OpenFlowTestbed:
-    """Build the Part-II testbed (no deprecation warning)."""
-    bed = object.__new__(OpenFlowTestbed)
-    bed._init(
-        sim, profile, control_latency_ps, num_switch_ports,
-        wire_cross_ports, osnt_kwargs,
+    """Build the Part-II testbed."""
+    topo = openflow_topology(
+        control_latency_ps=control_latency_ps,
+        num_switch_ports=num_switch_ports,
+        wire_cross_ports=wire_cross_ports,
     )
-    return bed
+    if profile is not None:
+        topo.nodes[0].params["profile"] = profile
+    if osnt_kwargs:
+        topo.nodes[1].params.update(osnt_kwargs)
+    return OpenFlowTestbed(sim, topo.build(sim))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from typing import NewType
 
 from .errors import ConfigError
 
@@ -140,6 +141,19 @@ def rate_bps(value) -> float:
     if parsed <= 0:
         raise ConfigError(f"rate must be positive, got {value!r}")
     return parsed
+
+
+#: Annotation for a scenario parameter holding a duration. The point
+#: function receives integer ps; a spec may give a number of ps or a
+#: unit string (``"10ms"``), which the scenario binder coerces through
+#: :func:`duration_ps`.
+Duration = NewType("Duration", int)
+
+#: Annotation for a scenario parameter holding a rate. The point
+#: function receives bits/second; a spec may give a number or a unit
+#: string (``"9.5Gbps"``), which the scenario binder coerces through
+#: :func:`rate_bps`.
+Rate = NewType("Rate", float)
 
 
 # -- rates -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Attack-workload scenarios: A1 ``syn_flood_flowmod``, A2 ``incast_burst``.
+"""Attack-workload scenarios: T1 ``syn_flood_flowmod``, T2 ``incast_burst``.
 
 Point-level behavior (churn really contends with the measured
 flow_mods; bursts really pile into the egress FIFO; per-flow RTT rows
@@ -20,14 +20,14 @@ from repro.units import ms, us
 P_COLUMNS = ("p50", "p90", "p99", "p999")
 
 
-# -- A1: flow_mod latency under SYN churn -------------------------------
+# -- T1: flow_mod latency under SYN churn -------------------------------
 
 
 class TestSynFloodPoint:
     def _point(self, **kwargs):
         kwargs.setdefault("n_flows", 64)
         kwargs.setdefault("n_rules", 4)
-        kwargs.setdefault("duration_ps", ms(1))
+        kwargs.setdefault("duration", ms(1))
         return syn_flood_flowmod_point(**kwargs)
 
     def test_churn_contends_with_measured_rules(self):
@@ -97,17 +97,17 @@ class TestSynFloodPoint:
             {"name": "loss", "model": "link_loss",
              "params": {"rate": 0.02, "burst": 2.0}}
         ]
-        row, extras = self._point(impairments=impairments, deadline_ps=ms(50))
+        row, extras = self._point(impairments=impairments, deadline=ms(50))
         assert "fault_timeline_digest" in extras
         assert row.churn_sent > 0
 
 
-# -- A2: synchronized incast --------------------------------------------
+# -- T2: synchronized incast --------------------------------------------
 
 
 class TestIncastPoint:
     def _point(self, **kwargs):
-        kwargs.setdefault("duration_ps", ms(1))
+        kwargs.setdefault("duration", ms(1))
         return incast_burst_point(**kwargs)
 
     def test_bursts_fill_the_egress_queue(self):
@@ -142,7 +142,7 @@ class TestIncastPoint:
         )
         staggered, __ = self._point(
             senders=3, traffic=traffic, buffer_bytes=256 * 1024,
-            phase_step_ps=us(20),
+            phase_step=us(20),
         )
         assert staggered.queue_peak_bytes < synced.queue_peak_bytes
         # Staggered senders start later (their initial phase gap eats

@@ -403,8 +403,8 @@ class TestSocketScheduler:
     def test_remote_heartbeats_feed_the_flight_recorder(self, tmp_path):
         spec = echo_spec(
             scenario="sleep",
-            params={"duration_s": 0.6},
-            axes={"x": [1]},
+            params={},
+            axes={"duration_s": [0.6]},
         )
         flight = tmp_path / "flight"
         runner = SweepRunner(
@@ -485,8 +485,7 @@ def _write_scenario_module(tmp_path, monkeypatch, module, name, signal_name):
     kills its own worker process on the first attempt."""
     (tmp_path / f"{module}.py").write_text(
         "import os, signal\n"
-        "from repro.runner.registry import scenario\n"
-        f"@scenario({name!r})\n"
+        "from repro.runner.registry import register_scenario\n"
         "def _scen(params, seed):\n"
         "    marker = params['marker']\n"
         "    if not os.path.exists(marker):\n"
@@ -494,6 +493,7 @@ def _write_scenario_module(tmp_path, monkeypatch, module, name, signal_name):
         "            handle.write('attempted\\n')\n"
         f"        os.kill(os.getpid(), signal.{signal_name})\n"
         "    return {'recovered': True, 'seed': seed}\n"
+        f"register_scenario({name!r}, _scen)\n"
     )
     existing = os.environ.get("PYTHONPATH", "")
     monkeypatch.setenv(
@@ -557,10 +557,10 @@ class TestWorkerDeath:
         instead of looping forever."""
         (tmp_path / "scen_always.py").write_text(
             "import os, signal\n"
-            "from repro.runner.registry import scenario\n"
-            "@scenario('always_die')\n"
+            "from repro.runner.registry import register_scenario\n"
             "def _scen(params, seed):\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "register_scenario('always_die', _scen)\n"
         )
         existing = os.environ.get("PYTHONPATH", "")
         monkeypatch.setenv(

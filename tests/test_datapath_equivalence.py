@@ -243,7 +243,7 @@ class TestLoopbackWorkloads:
             # exceeds line rate, so the 2 KiB FIFO must tail-drop.
             generator.configure(
                 TemplateSource(udp_template(200)),
-                schedule=PoissonGaps(20_000, rng=random.Random(11)),
+                schedule=PoissonGaps(20_000, stream=random.Random(11)),
                 duration_ps=us(100),
             )
             generator.start()
@@ -351,7 +351,7 @@ class TestScenarioEquivalence:
 
         def workload():
             return line_rate_point(
-                frame_size=64, duration_ps=ms(1), ports=1,
+                frame_size=64, duration=ms(1), ports=1,
                 seed=seed, telemetry=telemetry,
             )
 
@@ -363,7 +363,7 @@ class TestScenarioEquivalence:
     def test_e1_multi_port(self, monkeypatch):
         def workload():
             return line_rate_point(
-                frame_size=512, duration_ps=ms(1), ports=4,
+                frame_size=512, duration=ms(1), ports=4,
                 seed=0, telemetry=True,
             )
 
@@ -384,7 +384,7 @@ class TestScenarioEquivalence:
     def test_rfc2544_search(self, switch_seed, monkeypatch):
         def workload():
             return rfc2544_point(
-                frame_size=128, duration_ps=ms(1),
+                frame_size=128, duration=ms(1),
                 resolution=0.05, switch_seed=switch_seed,
             )
 

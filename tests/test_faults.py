@@ -536,7 +536,7 @@ class TestZeroRateNoOp:
     def test_zero_rate_end_to_end_scenario(self):
         from repro.faults.scenarios import lossy_link_latency_point
 
-        clean, __ = lossy_link_latency_point(loss_rate=0.0, duration_ps=ms(1))
+        clean, __ = lossy_link_latency_point(loss_rate=0.0, duration=ms(1))
         assert clean.probes_captured == clean.probes_sent
         assert clean.drops_injected == 0
 

@@ -351,8 +351,8 @@ class TestScenarioPoints:
         assert json.dumps(plain, sort_keys=True) == json.dumps(observed, sort_keys=True)
 
     def test_effective_loss_vs_speed(self):
-        slow = effective_loss_vs_speed_point("10Gbps", corrupt_rate=2e-3, seed=2)
-        fast = effective_loss_vs_speed_point("40Gbps", corrupt_rate=2e-3, seed=2)
+        slow = effective_loss_vs_speed_point(link_rate="10Gbps", corrupt_rate=2e-3, seed=2)
+        fast = effective_loss_vs_speed_point(link_rate="40Gbps", corrupt_rate=2e-3, seed=2)
         for row in (slow, fast):
             assert row["flows_completed"] == row["flows"]
             assert row["link"]["frames_seen"] > 0

@@ -41,7 +41,7 @@ from repro.telemetry import (
     snapshot_to_openmetrics,
     write_openmetrics,
 )
-from repro.testbed.topology import LegacySwitchTestbed
+from repro.testbed.topology import legacy_testbed
 from repro.testbed.workloads import udp_template
 from repro.units import ms, us
 
@@ -267,7 +267,7 @@ class TestChromeExport:
 class TestSpansEndToEnd:
     def test_single_packet_through_figure2_topology(self):
         sim = Simulator()
-        bed = LegacySwitchTestbed(sim)
+        bed = legacy_testbed(sim)
         bed.teach_mac_table("02:00:00:00:00:02")
         spans = SpanRecorder().arm(sim)
         bed.monitor.start_capture()

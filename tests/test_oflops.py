@@ -247,18 +247,6 @@ class TestChannelEvents:
         assert events[0].xid == xid
         assert events[0].payload["payload_len"] == len(b"ping")
 
-    def test_raw_list_access_is_deprecated(self):
-        runner = profiled_runner()
-        runner.run(PacketInLatencyModule(count=3))
-        handle = runner.ctx.control
-        with pytest.warns(DeprecationWarning, match="packet_in_events"):
-            raw = handle.packet_ins()
-        assert len(raw) == len(handle.packet_in_events())
-        with pytest.warns(DeprecationWarning, match="error_events"):
-            handle.errors()
-        with pytest.warns(DeprecationWarning, match="flow_removed_events"):
-            handle.flow_removed()
-
     def test_sync_barrier_healthy_channel_no_retries(self):
         ctx = OflopsContext()
         rtt = ctx.control.sync_barrier(ctx.run_for, us(5000), retries=3)

@@ -144,7 +144,7 @@ class TestLoopbackMeasurement:
         sim = Simulator()
         tester = loopback_tester(sim)
         gen, mon = tester.generator(0), tester.monitor(1)
-        mon.start_capture(snap_bytes=64, keep_one_in=5)
+        mon.start_capture(snaplen=64, keep_one_in=5)
         gen.load_template(build_udp(frame_size=1024), count=25)
         gen.start()
         sim.run()
@@ -340,9 +340,9 @@ class TestRegisterDrivenControl:
         device = tester.device
         base = device.monitor_base(1)
         device.bus.write32(base + 0x4, 64)
-        assert device.monitor(1).cutter.snap_bytes == 64
+        assert device.monitor(1).cutter.snaplen == 64
         device.bus.write32(base + 0x4, 0)
-        assert device.monitor(1).cutter.snap_bytes is None
+        assert device.monitor(1).cutter.snaplen is None
 
 
 class TestContextManagers:
@@ -379,7 +379,7 @@ class TestContextManagers:
         mon = tester.monitor(1)
         gen = tester.generator(0)
         gen.load_template(build_udp(frame_size=128), count=10)
-        with mon.start_capture(snap_bytes=64):
+        with mon.start_capture(snaplen=64):
             assert mon.capturing
             gen.start()
             sim.run()
@@ -397,7 +397,7 @@ class TestContextManagers:
         tester = loopback_tester(sim)
         gen = tester.generator(0)
         gen.load_template(build_udp(frame_size=512), count=8)
-        with tester.capture(1, snap_bytes=64) as mon:
+        with tester.capture(1, snaplen=64) as mon:
             gen.start()
             sim.run()
         assert not mon.capturing

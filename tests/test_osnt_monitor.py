@@ -95,14 +95,14 @@ class TestFilterBank:
 
 class TestReducers:
     def test_cutter_truncates(self):
-        cutter = PacketCutter(snap_bytes=60)
+        cutter = PacketCutter(snaplen=60)
         packet = build_udp(frame_size=512)
         cutter.apply(packet)
         assert packet.capture_length == 60
         assert cutter.cut == 1
 
     def test_cutter_leaves_short_packets(self):
-        cutter = PacketCutter(snap_bytes=200)
+        cutter = PacketCutter(snaplen=200)
         packet = build_udp(frame_size=100)
         cutter.apply(packet)
         assert packet.capture_length == len(packet.data)
@@ -110,7 +110,7 @@ class TestReducers:
 
     def test_cutter_validation(self):
         with pytest.raises(CaptureError):
-            PacketCutter(snap_bytes=10)
+            PacketCutter(snaplen=10)
 
     def test_thinner_one_in_n(self):
         thinner = Thinner(keep_one_in=4)
@@ -435,28 +435,14 @@ class TestSnaplenNaming:
         cutter = PacketCutter(snaplen=60)
         assert cutter.snaplen == 60
 
-    def test_snap_bytes_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="snaplen"):
-            cutter = PacketCutter(snap_bytes=60)
-        assert cutter.snaplen == 60
-
-    def test_snap_bytes_property_shims(self):
-        cutter = PacketCutter(snaplen=100)
-        with pytest.warns(DeprecationWarning):
-            assert cutter.snap_bytes == 100
-        with pytest.warns(DeprecationWarning):
-            cutter.snap_bytes = 64
-        assert cutter.snaplen == 64
-
-    def test_start_capture_snap_bytes_shim(self):
+    def test_start_capture_takes_snaplen(self):
         from repro.osnt import OSNT
 
         sim = Simulator()
         tester = OSNT(sim)
         connect(tester.port(0), tester.port(1))
         monitor = tester.monitor(1)
-        with pytest.warns(DeprecationWarning, match="snaplen"):
-            monitor.start_capture(snap_bytes=64)
+        monitor.start_capture(snaplen=64)
         gen = tester.generator(0)
         gen.load_template(build_udp(frame_size=512), count=5)
         gen.start()

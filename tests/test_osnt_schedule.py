@@ -60,7 +60,7 @@ class TestSchedules:
 
     def test_poisson_mean(self):
         rng = RandomStreams(3).stream("poisson")
-        schedule = PoissonGaps(mean_gap_ps=1_000_000, rng=rng)
+        schedule = PoissonGaps(mean_gap_ps=1_000_000, stream=rng)
         gaps = [schedule.gap_after(64) for __ in range(5_000)]
         assert min(gaps) >= 0
         mean = sum(gaps) / len(gaps)
@@ -68,14 +68,19 @@ class TestSchedules:
 
     def test_poisson_clamped_mode(self):
         rng = RandomStreams(3).stream("poisson")
-        schedule = PoissonGaps(mean_gap_ps=100_000, rng=rng, clamp_to_wire=True)
+        schedule = PoissonGaps(mean_gap_ps=100_000, stream=rng, clamp_to_wire=True)
         floor = wire_time_ps(84, TEN_GBPS)
         gaps = [schedule.gap_after(64) for __ in range(500)]
         assert min(gaps) >= floor
 
+    def test_poisson_options_are_keyword_only(self):
+        # A stream passed positionally must not become line_rate_bps.
+        with pytest.raises(TypeError):
+            PoissonGaps(500_000, RandomStreams(1).stream("p"))
+
     def test_poisson_reproducible(self):
-        first = PoissonGaps(500_000, RandomStreams(1).stream("p"))
-        second = PoissonGaps(500_000, RandomStreams(1).stream("p"))
+        first = PoissonGaps(500_000, stream=RandomStreams(1).stream("p"))
+        second = PoissonGaps(500_000, stream=RandomStreams(1).stream("p"))
         assert [first.gap_after(64) for __ in range(50)] == [
             second.gap_after(64) for __ in range(50)
         ]
@@ -231,7 +236,7 @@ class TestMarkovOnOff:
 
         rng = RandomStreams(7).stream("onoff")
         model = MarkovOnOff(
-            mean_on_ps=us(50), mean_off_ps=us(50), peak_bps=TEN_GBPS, rng=rng
+            mean_on_ps=us(50), mean_off_ps=us(50), peak_bps=TEN_GBPS, stream=rng
         )
         count = 20_000
         total = sum(model.gap_after(512) for __ in range(count))
@@ -245,7 +250,7 @@ class TestMarkovOnOff:
 
         rng = RandomStreams(8).stream("onoff")
         model = MarkovOnOff(
-            mean_on_ps=us(20), mean_off_ps=us(200), peak_bps=TEN_GBPS, rng=rng
+            mean_on_ps=us(20), mean_off_ps=us(200), peak_bps=TEN_GBPS, stream=rng
         )
         gaps = [model.gap_after(512) for __ in range(5_000)]
         wire = wire_time_ps(frame_wire_bytes(512), TEN_GBPS)
@@ -291,7 +296,7 @@ class TestMarkovOnOff:
             TemplateSource(build_udp(frame_size=512)),
             schedule=MarkovOnOff(
                 mean_on_ps=us(20), mean_off_ps=us(100),
-                rng=RandomStreams(3).stream("m"),
+                stream=RandomStreams(3).stream("m"),
             ),
             duration_ps=ms(2),
         )

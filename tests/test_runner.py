@@ -329,35 +329,38 @@ class TestSharedConfigRegression:
     """Sweep helpers must not mutate caller- or module-owned dicts."""
 
     def test_capture_variants_survive_a_sweep(self):
-        from repro.testbed.scenarios import CAPTURE_VARIANTS, measure_capture_path
+        from repro.testbed.scenarios import CAPTURE_VARIANTS, capture_path_point
 
         before = copy.deepcopy(CAPTURE_VARIANTS)
-        rows = measure_capture_path([0.1], duration_ps=us(50))
+        rows = [
+            capture_path_point(load=0.1, variant=variant, duration=us(50))[0]
+            for variant in CAPTURE_VARIANTS
+        ]
         assert len(rows) == len(CAPTURE_VARIANTS)
         assert CAPTURE_VARIANTS == before  # "name" must not be popped off
 
     def test_capture_point_leaves_callers_variant_alone(self):
         from repro.testbed.scenarios import capture_path_point
 
-        variant = {"name": "cut-64", "snap_bytes": 64}
-        capture_path_point(0.1, variant=variant, duration_ps=us(50))
-        assert variant == {"name": "cut-64", "snap_bytes": 64}
+        variant = {"name": "cut-64", "snaplen": 64}
+        capture_path_point(load=0.1, variant=variant, duration=us(50))
+        assert variant == {"name": "cut-64", "snaplen": 64}
 
     def test_legacy_latency_switch_kwargs_not_mutated(self):
-        from repro.testbed.scenarios import measure_legacy_switch_latency
+        from repro.testbed.scenarios import legacy_latency_point
 
         switch_kwargs = {"mac_table_capacity": 64}
-        measure_legacy_switch_latency(
-            [0.2], [256], duration_ps=us(50), switch_kwargs=switch_kwargs
+        legacy_latency_point(
+            frame_size=256, load=0.2, duration=us(50), switch_kwargs=switch_kwargs
         )
         assert switch_kwargs == {"mac_table_capacity": 64}
 
 
 class TestLegacyShims:
-    def test_measure_line_rate_rows_match_scenario_results(self):
-        from repro.testbed.scenarios import measure_line_rate
+    def test_line_rate_point_matches_scenario_result(self):
+        from repro.testbed.scenarios import line_rate_point
 
-        rows = measure_line_rate([64], duration_ps=us(100))
+        row, __ = line_rate_point(frame_size=64, duration=us(100), seed=0)
         spec = ExperimentSpec(
             name="direct",
             scenario="line_rate",
@@ -367,8 +370,8 @@ class TestLegacyShims:
             timeout_s=None,
         )
         result = run_spec(spec).results()[0]
-        assert rows[0].achieved_pps == result["achieved_pps"]
-        assert rows[0].frame_size == 64
+        assert row.achieved_pps == result["achieved_pps"]
+        assert row.frame_size == 64
 
     def test_pinned_seed_beats_derived_seed(self):
         report = run_spec(

@@ -1,4 +1,4 @@
-"""Integration tests over the testbed scenarios (experiments E1-E7).
+"""Integration tests over the testbed point functions (experiments E1-E7).
 
 These assert the *shape* of each result — who wins and by what kind of
 factor — which is exactly what the benchmark harness prints.
@@ -7,19 +7,20 @@ factor — which is exactly what the benchmark harness prints.
 import pytest
 
 from repro.testbed import (
-    LegacySwitchTestbed,
-    OpenFlowTestbed,
+    CAPTURE_VARIANTS,
+    capture_path_point,
+    clock_error_point,
+    flowmod_latency_point,
+    forwarding_consistency_point,
+    idt_precision_point,
     imix_source,
+    legacy_latency_point,
+    legacy_testbed,
+    line_rate_point,
     load_points,
-    measure_capture_path,
-    measure_clock_error,
-    measure_flowmod_latency,
-    measure_forwarding_consistency,
-    measure_idt_precision,
-    measure_legacy_switch_latency,
-    measure_line_rate,
-    measure_timestamp_placement,
     multi_flow_source,
+    openflow_testbed,
+    timestamp_placement_point,
 )
 from repro.sim import Simulator
 from repro.units import line_rate_pps, ms, us
@@ -57,31 +58,30 @@ class TestWorkloads:
 
 class TestE1LineRate:
     def test_full_line_rate_at_64_and_1518(self):
-        rows = measure_line_rate([64, 1518], duration_ps=ms(1))
-        for row in rows:
+        for size in (64, 1518):
+            row, __ = line_rate_point(frame_size=size, duration=ms(1))
             # "full line-rate traffic generation regardless of packet size"
             assert row.efficiency > 0.999
 
     def test_four_ports_aggregate(self):
-        rows = measure_line_rate([512], duration_ps=ms(1), ports=4)
-        row = rows[0]
+        row, __ = line_rate_point(frame_size=512, duration=ms(1), ports=4)
         assert row.ports == 4
         assert row.achieved_pps == pytest.approx(4 * line_rate_pps(512), rel=1e-3)
 
 
 class TestE2Precision:
     def test_hardware_pacing_beats_software(self):
-        rows = measure_idt_precision(us(20), packet_count=300)
-        osnt = next(r for r in rows if r.generator == "osnt")
-        software = next(r for r in rows if r.generator == "software")
+        osnt, software = (
+            idt_precision_point(kind=kind, target_gap_ps=us(20), packet_count=300)[0]
+            for kind in ("osnt", "software")
+        )
         assert osnt.gap_std_ns == 0  # ps-exact pacing
         assert software.gap_std_ns > 100  # µs-scale OS noise
         assert software.mean_gap_ns > osnt.mean_gap_ns
 
     def test_gps_keeps_clock_sub_microsecond(self):
-        rows = measure_clock_error(horizon_s=8)
-        free = [r for r in rows if r.mode == "free-running"]
-        disciplined = [r for r in rows if r.mode == "gps-disciplined"]
+        free, __ = clock_error_point(mode="free-running", horizon_s=8)
+        disciplined, __ = clock_error_point(mode="gps-disciplined", horizon_s=8)
         assert free[-1].abs_error_ns > 100_000  # hundreds of µs adrift
         assert disciplined[-1].abs_error_ns < 1_000  # sub-µs, per the paper
         # Free-running error grows monotonically with 30 ppm drift.
@@ -91,97 +91,104 @@ class TestE2Precision:
 
 class TestE3LegacyLatency:
     def test_latency_rises_with_load(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.2, 0.95, 1.2], frame_sizes=[512], duration_ps=ms(2)
+        low, high, overload = (
+            legacy_latency_point(frame_size=512, load=load, duration=ms(2))[0]
+            for load in (0.2, 0.95, 1.2)
         )
-        low, high, overload = rows
         assert low.mean_us < high.mean_us < overload.mean_us
         assert overload.mean_us > 5 * low.mean_us  # saturated queue
 
     def test_baseline_latency_scales_with_frame_size(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.1], frame_sizes=[64, 1518], duration_ps=ms(2)
+        small, large = (
+            legacy_latency_point(frame_size=size, load=0.1, duration=ms(2))[0]
+            for size in (64, 1518)
         )
-        small, large = rows
         # Store-and-forward: two serializations more for big frames.
         assert large.mean_us > small.mean_us + 2.0
 
     def test_probes_survive_light_load(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.3], frame_sizes=[256], duration_ps=ms(1)
-        )
-        assert rows[0].switch_drops == 0
-        assert rows[0].packets > 0
+        row, __ = legacy_latency_point(frame_size=256, load=0.3, duration=ms(1))
+        assert row.switch_drops == 0
+        assert row.packets > 0
 
 
 class TestE4FlowMod:
     @pytest.mark.parametrize("mode", ["spec", "eager"])
     def test_rules_activate_serially(self, mode):
-        result = measure_flowmod_latency(n_rules=8, barrier_mode=mode)
-        assert len(result.rule_activation_ps) == 8
-        assert result.rule_activation_ps == sorted(result.rule_activation_ps)
+        result = flowmod_latency_point(n_rules=8, barrier_mode=mode)
+        assert len(result["rule_activation_ps"]) == 8
+        assert result["rule_activation_ps"] == sorted(result["rule_activation_ps"])
 
     def test_spec_barrier_is_honest(self):
-        result = measure_flowmod_latency(n_rules=8, barrier_mode="spec")
-        assert result.control_latency_ps >= result.data_plane_complete_ps - us(100)
+        result = flowmod_latency_point(n_rules=8, barrier_mode="spec")
+        assert result["control_latency_ps"] >= result["data_plane_complete_ps"] - us(100)
 
     def test_eager_barrier_lies(self):
-        result = measure_flowmod_latency(n_rules=8, barrier_mode="eager")
+        result = flowmod_latency_point(n_rules=8, barrier_mode="eager")
         # The control plane claims completion long before the data plane.
-        assert result.control_says_done_before_data_ps > us(300)
+        assert result["control_says_done_before_data_ps"] > us(300)
 
     def test_more_rules_take_longer(self):
-        small = measure_flowmod_latency(n_rules=4, barrier_mode="spec")
-        large = measure_flowmod_latency(n_rules=16, barrier_mode="spec")
-        assert large.data_plane_complete_ps > small.data_plane_complete_ps
+        small = flowmod_latency_point(n_rules=4, barrier_mode="spec")
+        large = flowmod_latency_point(n_rules=16, barrier_mode="spec")
+        assert large["data_plane_complete_ps"] > small["data_plane_complete_ps"]
 
 
 class TestE5Consistency:
     def test_spec_switch_consistent_after_barrier(self):
-        result = measure_forwarding_consistency(n_rules=8, barrier_mode="spec")
+        result = forwarding_consistency_point(n_rules=8, barrier_mode="spec")
         assert result.stale_after_barrier == 0
         assert result.stale_during_update > 0  # transition is never free
 
     def test_eager_switch_stale_after_barrier(self):
-        result = measure_forwarding_consistency(n_rules=8, barrier_mode="eager")
+        result = forwarding_consistency_point(n_rules=8, barrier_mode="eager")
         # Stale packets past the barrier = the inconsistency window; it
         # is a strict subset of the whole transition.
         assert result.stale_after_barrier > 0
         assert result.stale_after_barrier < result.stale_during_update
 
 
+def capture_rows(load):
+    return [
+        capture_path_point(load=load, variant=variant, duration=ms(1))[0]
+        for variant in CAPTURE_VARIANTS
+    ]
+
+
 class TestE6CapturePath:
     def test_full_capture_loses_at_high_load(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
+        rows = capture_rows(0.9)
         full = next(r for r in rows if r.variant == "full")
         assert full.dropped > 0
         assert full.capture_fraction < 1.0
 
     def test_cutting_restores_lossless_capture(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
+        rows = capture_rows(0.9)
         cut = next(r for r in rows if r.variant == "cut-64")
         assert cut.dropped == 0
         assert cut.capture_fraction == 1.0
 
     def test_thinning_restores_lossless_capture(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
+        rows = capture_rows(0.9)
         thin = next(r for r in rows if r.variant == "thin-1in8")
         assert thin.dropped == 0
 
     def test_low_load_lossless_everywhere(self):
-        rows = measure_capture_path(loads=[0.1], duration_ps=ms(1))
+        rows = capture_rows(0.1)
         assert all(r.dropped == 0 for r in rows)
 
 
 class TestE7TimestampPlacement:
     def test_host_timestamps_noisier_under_load(self):
-        rows = measure_timestamp_placement(loads=[0.8], duration_ps=ms(1))
-        row = rows[0]
+        row, __ = timestamp_placement_point(load=0.8, duration=ms(1))
         assert row.host_std_us > 10 * row.hw_std_us
         assert row.host_mean_us > row.hw_mean_us
 
     def test_hw_measurement_unaffected_by_capture_load(self):
-        low, high = measure_timestamp_placement(loads=[0.2, 0.8], duration_ps=ms(1))
+        low, high = (
+            timestamp_placement_point(load=load, duration=ms(1))[0]
+            for load in (0.2, 0.8)
+        )
         # Hardware-stamped latency statistics stay stable while host-side
         # statistics blow up with DMA/host queueing.
         assert high.hw_std_us < 0.1
@@ -191,14 +198,14 @@ class TestE7TimestampPlacement:
 class TestTopologies:
     def test_legacy_testbed_wiring(self):
         sim = Simulator()
-        bed = LegacySwitchTestbed(sim)
+        bed = legacy_testbed(sim)
         assert bed.tester.port(0).connected
         assert bed.tester.port(1).connected
         assert not bed.tester.port(2).connected
 
     def test_openflow_testbed_has_channels(self):
         sim = Simulator()
-        bed = OpenFlowTestbed(sim, wire_cross_ports=True)
+        bed = openflow_testbed(sim, wire_cross_ports=True)
         assert bed.tester.port(2).connected
         assert bed.snmp.ports is not None
         assert bed.controller is bed.channel.controller

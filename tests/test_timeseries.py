@@ -335,7 +335,7 @@ class TestIncastAcceptance:
     def run_incast(self, **kwargs):
         rec = WaveformRecorder()
         with observe_simulators(waves=rec):
-            row, extras = incast_burst_point(duration_ps=int(ms(1)), **kwargs)
+            row, extras = incast_burst_point(duration=int(ms(1)), **kwargs)
         return rec, row, extras
 
     def test_egress_waveform_peak_matches_queue_counter(self):
@@ -368,7 +368,7 @@ class TestIncastAcceptance:
 
     def test_waveforms_param_reports_digest_in_extras(self):
         __, row, extras = self.run_incast()
-        row2, extras2 = incast_burst_point(duration_ps=int(ms(1)), waveforms=True)
+        row2, extras2 = incast_burst_point(duration=int(ms(1)), waveforms=True)
         assert row2 == row  # recording must not perturb the experiment
         assert "waveform_digest" in extras2
         assert extras2["waveforms"]["sw.p1.tx.fifo_bytes"]["max"] == (
@@ -376,9 +376,9 @@ class TestIncastAcceptance:
         )
 
     def test_armed_recorder_does_not_perturb(self):
-        bare, __ = incast_burst_point(duration_ps=int(ms(1)))
+        bare, __ = incast_burst_point(duration=int(ms(1)))
         observed, extras = incast_burst_point(
-            duration_ps=int(ms(1)), waveforms=True
+            duration=int(ms(1)), waveforms=True
         )
         assert observed == bare
         assert len(extras["waveform_digest"]) == 64
@@ -388,7 +388,7 @@ class TestIncastAcceptance:
         action timeline — the PR-4 digest stays byte-identical."""
         from repro.faults.scenarios import lossy_link_latency_point
 
-        kwargs = dict(loss_rate=0.02, duration_ps=int(ms(1)), seed=3)
+        kwargs = dict(loss_rate=0.02, duration=int(ms(1)), seed=3)
         bare_row, bare_extras = lossy_link_latency_point(**kwargs)
         rec = WaveformRecorder()
         with observe_simulators(waves=rec):

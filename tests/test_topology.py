@@ -1,6 +1,6 @@
 """Tests for repro.topology: the declarative topology builder, its
 dict/JSON round-trip, fingerprinting, device construction, endpoint
-resolution, and the deprecation shims over the old testbed classes."""
+resolution, and the testbed factories built on it."""
 
 import json
 import warnings
@@ -11,12 +11,7 @@ from repro.devices import LegacySwitch, SimpleHost
 from repro.errors import TopologyError
 from repro.hw.port import DEFAULT_PROPAGATION_PS
 from repro.sim import Simulator
-from repro.testbed import (
-    LegacySwitchTestbed,
-    OpenFlowTestbed,
-    legacy_testbed,
-    openflow_testbed,
-)
+from repro.testbed import LegacySwitchTestbed, legacy_testbed, openflow_testbed
 from repro.topology import LinkSpec, NODE_KINDS, NodeSpec, Topology
 from repro.units import ns, us
 
@@ -218,16 +213,10 @@ class TestBuild:
             Topology().host("h1", warp_factor=9).build()
 
 
-# -- deprecation shims --------------------------------------------------------
+# -- testbed factories --------------------------------------------------------
 
 
 class TestTestbedShims:
-    def test_old_constructors_warn(self):
-        with pytest.warns(DeprecationWarning, match="legacy_testbed"):
-            LegacySwitchTestbed(Simulator())
-        with pytest.warns(DeprecationWarning, match="openflow_testbed"):
-            OpenFlowTestbed(Simulator())
-
     def test_factories_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -235,9 +224,11 @@ class TestTestbedShims:
             openflow_testbed(Simulator())
 
     def test_factory_matches_old_constructor(self):
-        """Same wiring, same attributes — byte-compat by construction."""
-        with pytest.warns(DeprecationWarning):
-            old = LegacySwitchTestbed(Simulator(), wire_cross_ports=True)
+        """The class wraps a built topology; the factory does just that."""
+        from repro.testbed.topology import legacy_switch_topology
+
+        sim = Simulator()
+        old = LegacySwitchTestbed(sim, legacy_switch_topology(True).build(sim))
         new = legacy_testbed(Simulator(), wire_cross_ports=True)
         assert len(old.links) == len(new.links) == 4
         assert type(old.switch) is type(new.switch)

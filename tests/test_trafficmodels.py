@@ -3,14 +3,12 @@
 Covers the pattern classes (BurstTrain, Periodic, Composite,
 MarkovOnOff) at the gap-sequence level, the spec registry's JSON
 round-trip and fingerprint stability for *every* registered kind, the
-RNG unification (streams/seed over the deprecated ``rng=``), the
+RNG unification (``stream=``/``seed=``), the
 engine's initial-gap handling, and packet|burst datapath bit-identity
 for the new schedules. The hypothesis property pins the Composite
 mean-load identity: the combinator's long-run load equals the
 time-share-weighted sum of its components' loads.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -240,19 +238,11 @@ class TestMarkovOnOff:
             assert isinstance(gap, int)
         assert isinstance(model._on_budget_ps, int)
 
-    def test_rng_kwarg_deprecated(self):
-        import random
-
-        with pytest.deprecated_call():
-            MarkovOnOff(1_000, 1_000, rng=random.Random(0))
-
     def test_legacy_default_unchanged(self):
-        """No rng/stream/seed → the historical Random(0) timeline."""
+        """No stream/seed → the historical Random(0) timeline."""
         import random
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = MarkovOnOff(50_000, 100_000, rng=random.Random(0))
+        legacy = MarkovOnOff(50_000, 100_000, stream=random.Random(0))
         assert _timeline(MarkovOnOff(50_000, 100_000)) == _timeline(legacy)
 
 

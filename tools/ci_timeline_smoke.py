@@ -42,7 +42,7 @@ def fail(message: str) -> None:
 def incast_digest(keep_every: int = 1) -> str:
     recorder = WaveformRecorder(keep_every=keep_every)
     with observe_simulators(waves=recorder):
-        incast_burst_point(duration_ps=int(ms(1)))
+        incast_burst_point(duration=int(ms(1)))
     return recorder.digest()
 
 
