@@ -11,11 +11,11 @@ from typing import List
 from ..hw.port import EthernetPort
 from ..net.arp import OP_REPLY, OP_REQUEST, ArpPacket
 from ..net.builder import _frame  # module-internal helper reused deliberately
-from ..net.ethernet import ETHERTYPE_ARP
+from ..net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from ..net.icmp import IcmpHeader, TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST
-from ..net.ipv4 import Ipv4Header, PROTO_ICMP
+from ..net.ipv4 import Ipv4Header, PROTO_ICMP, PROTO_TCP
 from ..net.packet import Packet
-from ..net.parser import decode
+from ..net.parser import decode, header_offsets
 from ..sim import Simulator
 from ..units import TEN_GBPS, us
 
@@ -47,6 +47,19 @@ class SimpleHost:
         self._transport = None
 
     def _on_frame(self, packet: Packet) -> None:
+        transport = self._transport
+        if transport is not None:
+            # TCP segments are the closed-loop hot path: classify by
+            # offset and hand the endpoint the raw bytes. Everything
+            # else is rare and builds replies from the decoded headers.
+            data = packet.data
+            l3, ethertype, protocol, l4, payload = header_offsets(data)
+            if protocol == PROTO_TCP and l4 is not None:
+                if ethertype == ETHERTYPE_IPV4:
+                    transport._on_frame(data, l3, l4, payload)
+                else:
+                    transport.ignored_segments += 1  # IPv6: not to this host
+                return
         decoded = decode(packet.data)
         if decoded.arp is not None and decoded.arp.operation == OP_REQUEST:
             if decoded.arp.target_ip == self.ip:
@@ -61,9 +74,6 @@ class SimpleHost:
             self.sim.call_after(
                 self.reply_delay_ps, self._send_echo_reply, decoded, packet.data
             )
-            return
-        if decoded.tcp is not None and self._transport is not None:
-            self._transport._on_frame(decoded)
             return
         self.received.append(packet)
 
@@ -115,8 +125,6 @@ class SimpleHost:
         message = echo.pack(payload)
         ip = Ipv4Header(src=self.ip, dst=request.ipv4.src, protocol=PROTO_ICMP)
         network = ip.pack(len(message)) + message
-        from ..net.ethernet import ETHERTYPE_IPV4
-
         frame = _frame(self.mac, request.ethernet.src, ETHERTYPE_IPV4, network, None)
         self.port.send(frame)
         self.echo_replies += 1

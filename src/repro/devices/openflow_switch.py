@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Literal, Optional, get_args
 
 from ..errors import ConfigError
 from ..hw.port import EthernetPort
@@ -55,6 +55,9 @@ from ..sim import Signal, Simulator
 from ..units import TEN_GBPS, ns, seconds, us
 from .flow_table import FlowEntry, FlowTable, OverlapError, TableFullError
 
+#: The barrier semantics a switch implements (see the module docstring).
+BarrierMode = Literal["spec", "eager"]
+
 #: Sentinel distinguishing "no memo entry" from a remembered miss (None).
 _DP_UNKNOWN = object()
 
@@ -74,7 +77,7 @@ class SwitchProfile:
 
     firmware_delay_ps: int = us(30)
     table_write_ps: int = us(5)
-    barrier_mode: str = "spec"  # or "eager"
+    barrier_mode: BarrierMode = "spec"
     datapath_lookup_ps: int = ns(600)
     packet_in_delay_ps: int = us(20)
     miss_send_len: int = 128
@@ -86,7 +89,7 @@ class SwitchProfile:
     packet_in_queue_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.barrier_mode not in ("spec", "eager"):
+        if self.barrier_mode not in get_args(BarrierMode):
             raise ConfigError(f"barrier_mode must be 'spec' or 'eager'")
         for value in (
             self.firmware_delay_ps,

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..analysis.latency import latency_from_capture
 from ..devices.legacy_switch import LegacySwitch
+from ..devices.openflow_switch import BarrierMode
 from ..osnt.api import OSNT
 from ..sim import RandomStreams, Simulator
 from ..testbed.topology import legacy_testbed
@@ -182,7 +183,7 @@ def flowmod_under_flap_point(
     flap_down: Duration = ms(6),
     deadline: Duration = ms(30),
     barrier_retries: int = 3,
-    barrier_mode: str = "spec",
+    barrier_mode: BarrierMode = "spec",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """F3: flow_mod latency with the control channel flapping.

@@ -34,24 +34,33 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import FlowError
-from ..net.builder import _frame  # module-internal helper reused deliberately
-from ..net.ethernet import ETHERTYPE_IPV4
+from ..net.ethernet import ETHERTYPE_IPV4, EthernetHeader
+from ..net.fields import ipv4_to_bytes
 from ..net.ipv4 import Ipv4Header, PROTO_TCP
-from ..net.tcp import FLAG_ACK, FLAG_PSH, TcpHeader
+from ..net.packet import Packet
+from ..net.tcp import FLAG_ACK, FLAG_PSH, TCP_MIN_HEADER_LEN
 from ..units import ms, us
 
 if TYPE_CHECKING:
     from ..devices.host import SimpleHost
-    from ..net.parser import DecodedPacket
 
 #: First ephemeral source port handed out by an endpoint.
 EPHEMERAL_PORT_BASE = 49152
 #: First service port handed out for receivers.
 SERVICE_PORT_BASE = 5001
+
+#: ``(src_port, dst_port, seq, ack)``: the first 12 bytes of a TCP header.
+_TCP_PORTS_SEQ_ACK = struct.Struct("!HHII")
+#: The option-less TCP header :meth:`repro.net.tcp.TcpHeader.pack` writes:
+#: ports, seq, ack, data offset, flags, window, checksum, urgent pointer.
+_TCP_HEADER = struct.Struct("!HHIIBBHHH")
+_TCP_DATA_OFFSET = (TCP_MIN_HEADER_LEN // 4) << 4
+_TCP_WINDOW = 65535
 
 
 @dataclass
@@ -133,12 +142,21 @@ class FlowEndpoint:
     ``(remote ip, remote port, local port)``. Create one per host, then
     open flows with :meth:`flow_to`; detach with :meth:`detach` when a
     testbed is reused for open-loop traffic.
+
+    Segments never pass through header objects: inbound fields are read
+    at the offsets the host's NIC found, and outbound frames are a
+    memoised Ethernet + IPv4 header (one per peer and segment length)
+    followed by one packed TCP header.
     """
 
     def __init__(self, host: "SimpleHost") -> None:
         self.host = host
         self.sim = host.sim
-        self._handlers: Dict[Tuple[str, int, int], object] = {}
+        self._ip = ipv4_to_bytes(host.ip)
+        #: (remote ip bytes, remote port, local port) -> sender/receiver
+        self._handlers: Dict[Tuple[bytes, int, int], object] = {}
+        #: (peer, TCP segment length) -> Ethernet + IPv4 header bytes
+        self._headers: Dict[Tuple["FlowEndpoint", int], bytes] = {}
         self._next_src_port = EPHEMERAL_PORT_BASE
         self._next_dst_port = SERVICE_PORT_BASE
         #: TCP segments addressed to this host that matched no flow.
@@ -185,21 +203,23 @@ class FlowEndpoint:
         flow = Flow(self, peer, size_bytes, start_ps, src_port, dst_port, config)
         # Inbound demux keys are (ipv4.src, tcp.src_port, tcp.dst_port)
         # of arriving frames: ACKs for the sender, data for the receiver.
-        self._handlers[(peer.host.ip, dst_port, src_port)] = flow.sender
-        peer._handlers[(self.host.ip, src_port, dst_port)] = flow.receiver
+        self._handlers[(peer._ip, dst_port, src_port)] = flow.sender
+        peer._handlers[(self._ip, src_port, dst_port)] = flow.receiver
         return flow
 
-    def _on_frame(self, decoded: "DecodedPacket") -> None:
-        if decoded.ipv4 is None or decoded.ipv4.dst != self.host.ip:
+    def _on_frame(self, data: bytes, l3: int, l4: int, payload: int) -> None:
+        """An IPv4/TCP frame whose IPv4, TCP and payload start at ``l3``,
+        ``l4`` and ``payload`` (as :func:`repro.net.parser.header_offsets`
+        finds them)."""
+        if data[l3 + 16 : l3 + 20] != self._ip:
             self.ignored_segments += 1  # flooded copy for someone else
             return
-        tcp = decoded.tcp
-        key = (decoded.ipv4.src, tcp.src_port, tcp.dst_port)
-        handler = self._handlers.get(key)
+        src_port, dst_port, seq, ack = _TCP_PORTS_SEQ_ACK.unpack_from(data, l4)
+        handler = self._handlers.get((data[l3 + 12 : l3 + 16], src_port, dst_port))
         if handler is None:
             self.stray_segments += 1
             return
-        handler._on_segment(decoded)
+        handler._on_segment(seq, ack, len(data) - payload)
 
     def _record(self, completion: FlowCompletion) -> None:
         self.completions.append(completion)
@@ -214,17 +234,20 @@ class FlowEndpoint:
         flags: int,
         payload: bytes,
     ) -> bool:
-        # Checksums are skipped on purpose (no addresses passed to
-        # pack): the simulated wire never flips payload bits — faults
-        # drop whole frames — and flows send millions of segments.
-        tcp = TcpHeader(
-            src_port=src_port, dst_port=dst_port, seq=seq, ack=ack, flags=flags
+        # The TCP checksum is skipped on purpose, as TcpHeader.pack does
+        # without addresses: the simulated wire never flips payload
+        # bits — faults drop whole frames — and flows send millions of
+        # segments.
+        length = TCP_MIN_HEADER_LEN + len(payload)
+        head = self._headers.get((peer, length))
+        if head is None:
+            ip = Ipv4Header(src=self.host.ip, dst=peer.host.ip, protocol=PROTO_TCP)
+            eth = EthernetHeader(dst=peer.host.mac, src=self.host.mac, ethertype=ETHERTYPE_IPV4)
+            head = self._headers[(peer, length)] = eth.pack() + ip.pack(length)
+        tcp = _TCP_HEADER.pack(
+            src_port, dst_port, seq, ack, _TCP_DATA_OFFSET, flags & 0x3F, _TCP_WINDOW, 0, 0
         )
-        segment = tcp.pack(payload)
-        ip = Ipv4Header(src=self.host.ip, dst=peer.host.ip, protocol=PROTO_TCP)
-        network = ip.pack(len(segment)) + segment
-        frame = _frame(self.host.mac, peer.host.mac, ETHERTYPE_IPV4, network, None)
-        return self.host.port.send(frame)
+        return self.host.port.send(Packet(head + tcp + payload))
 
 
 class Flow:
@@ -375,10 +398,9 @@ class FlowSender:
 
     # -- ACK processing ------------------------------------------------------
 
-    def _on_segment(self, decoded: "DecodedPacket") -> None:
+    def _on_segment(self, seq: int, ack: int, payload_len: int) -> None:
         if self.record is not None:
             return  # late ACK after completion/abort
-        ack = decoded.tcp.ack
         if ack > self.snd_una:
             self._on_new_ack(ack)
         elif ack == self.snd_una and self.snd_nxt > self.snd_una:
@@ -539,9 +561,9 @@ class FlowReceiver:
         self.duplicate_bytes = 0
         self.acks_sent = 0
 
-    def _on_segment(self, decoded: "DecodedPacket") -> None:
-        offset = decoded.tcp.seq
-        length = len(decoded.payload)
+    def _on_segment(self, seq: int, ack: int, payload_len: int) -> None:
+        offset = seq
+        length = payload_len
         if length == 0:
             return  # no pure-ACK traffic flows sender-ward; ignore
         if offset + length <= self.rcv_nxt:

@@ -129,7 +129,7 @@ class DmaEngine:
             nbytes = self._transfer_bytes(packet)
             self.stats.dropped += 1
             self.stats.dropped_bytes += nbytes
-            tracer = self.sim.tracer
+            tracer = self.sim._tracer
             if tracer is not None:
                 tracer.instant(
                     self.sim.now, "packet", "drop",
@@ -188,7 +188,7 @@ class DmaEngine:
                 self._wave_ring(waves)
                 cache = self._waves_cache
             cache[1](self.sim.now, len(self._ring))
-        tracer = self.sim.tracer
+        tracer = self.sim._tracer
         if tracer is not None:
             tracer.instant(
                 self.sim.now, "packet", "host",

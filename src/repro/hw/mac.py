@@ -11,7 +11,7 @@ which is also the instant the OSNT monitor timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Packet
 from ..sim import Simulator
@@ -46,10 +46,12 @@ class MacStats:
     first_activity_ps: Optional[int] = None
     last_activity_ps: Optional[int] = None
 
-    def note(self, now: int, frame_bytes: int) -> None:
+    def note(self, now: int, frame_bytes: int, wire_bytes: int) -> None:
+        """Count one frame: ``wire_bytes`` is ``frame_wire_bytes(frame_bytes)``,
+        passed in because each MAC keeps it memoised per frame length."""
         self.packets += 1
         self.bytes += frame_bytes
-        self.wire_bytes += frame_wire_bytes(frame_bytes)
+        self.wire_bytes += wire_bytes
         if self.first_activity_ps is None:
             self.first_activity_ps = now
         self.last_activity_ps = now
@@ -79,7 +81,7 @@ class TxMac:
 
         self.sim = sim
         self.name = name
-        self.rate_bps = rate_bps
+        self.rate_bps = rate_bps  # also resets the timing memo
         self.fifo = ByteFifo(fifo_bytes, name=f"{name}.fifo")
         self.stats = MacStats()
         self._busy = False
@@ -98,6 +100,27 @@ class TxMac:
         #: (recorder, fifo waveform, wire-rate waveform) cache — rebuilt
         #: when a different WaveformRecorder is armed on the simulator.
         self._waves_cache = None
+
+    @property
+    def rate_bps(self) -> float:
+        return self._rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, rate_bps: float) -> None:
+        # Ports are re-rated after construction (topology rates), so the
+        # per-length timing memo is only valid for the rate it was made at.
+        self._rate_bps = rate_bps
+        self._timing: Dict[int, Tuple[int, int, int]] = {}
+
+    def _frame_timing(self, frame_len: int) -> Tuple[int, int, int]:
+        """``(serialize_ps, slot_ps, wire_bytes)`` of one frame at this rate."""
+        # Last bit leaves after preamble + padded frame; the IFG only
+        # gates when the *next* frame may start.
+        serialize_ps = wire_time_ps(ETH_PREAMBLE_BYTES + max(frame_len, 64), self._rate_bps)
+        wire_bytes = frame_wire_bytes(frame_len)
+        timing = (serialize_ps, wire_time_ps(wire_bytes, self._rate_bps), wire_bytes)
+        self._timing[frame_len] = timing
+        return timing
 
     def attach_delivery(self, deliver: Callable[[Packet], None], propagation_ps: int) -> None:
         self._deliver = deliver
@@ -155,14 +178,11 @@ class TxMac:
         if self.on_start_of_frame is not None:
             self.on_start_of_frame(packet)
         frame_len = packet.frame_length
-        # Last bit leaves after preamble + padded frame; the IFG only
-        # gates when the *next* frame may start.
-        preamble_and_frame = ETH_PREAMBLE_BYTES + max(frame_len, 64)
-        serialize_ps = wire_time_ps(preamble_and_frame, self.rate_bps)
-        wire_bytes = frame_wire_bytes(frame_len)
-        slot_ps = wire_time_ps(wire_bytes, self.rate_bps)
+        serialize_ps, slot_ps, wire_bytes = (
+            self._timing.get(frame_len) or self._frame_timing(frame_len)
+        )
         now = self.sim.now
-        self.stats.note(now, frame_len)
+        self.stats.note(now, frame_len, wire_bytes)
         self.stats.busy_ps += slot_ps
         waves = self.sim.waves
         if waves is not None:
@@ -171,7 +191,7 @@ class TxMac:
                 cache = self._wave_series(waves)
             cache[1](now, self.fifo.occupancy_bytes)
             cache[2](now, wire_bytes)
-        tracer = self.sim.tracer
+        tracer = self.sim._tracer
         if tracer is not None:
             tracer.instant(now, "packet", "tx", {"mac": self.name, "bytes": frame_len})
         spans = self.sim.spans
@@ -195,6 +215,8 @@ class RxMac:
         self.stats = MacStats()
         self._sinks: List[Callable[[Packet], None]] = []
         self._waves_cache = None
+        #: frame length -> frame_wire_bytes(frame length)
+        self._wire_bytes: Dict[int, int] = {}
 
     def add_sink(self, sink: Callable[[Packet], None]) -> None:
         """Register a callback invoked at last-bit arrival of each frame."""
@@ -202,7 +224,11 @@ class RxMac:
 
     def receive(self, packet: Packet) -> None:
         now = self.sim.now
-        self.stats.note(now, packet.frame_length)
+        frame_len = packet.frame_length
+        wire_bytes = self._wire_bytes.get(frame_len)
+        if wire_bytes is None:
+            wire_bytes = self._wire_bytes[frame_len] = frame_wire_bytes(frame_len)
+        self.stats.note(now, frame_len, wire_bytes)
         waves = self.sim.waves
         if waves is not None:
             cache = self._waves_cache
@@ -211,14 +237,12 @@ class RxMac:
                     waves,
                     waves.rate_series(f"{self.name}.wire_bytes", unit="bytes").record,
                 )
-            cache[1](now, frame_wire_bytes(packet.frame_length))
-        tracer = self.sim.tracer
+            cache[1](now, wire_bytes)
+        tracer = self.sim._tracer
         if tracer is not None:
-            tracer.instant(
-                self.sim.now, "packet", "rx", {"mac": self.name, "bytes": packet.frame_length}
-            )
+            tracer.instant(now, "packet", "rx", {"mac": self.name, "bytes": frame_len})
         spans = self.sim.spans
         if spans is not None:
-            spans.hop(self.sim.now, packet, "mac_rx", {"mac": self.name})
+            spans.hop(now, packet, "mac_rx", {"mac": self.name})
         for sink in self._sinks:
             sink(packet)

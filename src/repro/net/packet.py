@@ -27,6 +27,7 @@ class Packet:
 
     __slots__ = (
         "data",
+        "frame_length",
         "packet_id",
         "ingress_port",
         "egress_port",
@@ -40,6 +41,10 @@ class Packet:
         if len(data) < 14:
             raise PacketError(f"frame too short for an Ethernet header: {len(data)}")
         self.data = bytes(data)
+        #: On-the-wire frame length including FCS and minimum padding.
+        #: Computed once: the in-place rewrites of ``data`` (TX stamping)
+        #: keep its length, and every other rewrite builds a new Packet.
+        self.frame_length: int = max(len(data) + ETH_FCS_BYTES, ETH_MIN_FRAME)
         #: Monotonic id for debugging/tracing; not on the wire.
         self.packet_id: int = next(_packet_ids)
         self.ingress_port: Optional[int] = None
@@ -55,11 +60,6 @@ class Packet:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    @property
-    def frame_length(self) -> int:
-        """On-the-wire frame length including FCS and minimum padding."""
-        return max(len(self.data) + ETH_FCS_BYTES, ETH_MIN_FRAME)
 
     def copy(self) -> "Packet":
         """Independent copy with fresh id; metadata is carried over."""

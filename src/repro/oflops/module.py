@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..devices.openflow_switch import BarrierMode
 from ..errors import ConfigError, OflopsError
 from ..units import Duration, seconds, us
 from .context import OflopsContext
@@ -106,7 +107,7 @@ def oflops_point(
     *,
     module: str,
     dut: Optional[str] = None,
-    barrier_mode: str = "spec",
+    barrier_mode: BarrierMode = "spec",
     firmware_delay: Duration = us(10),
     table_write: Duration = us(100),
     control_latency: Duration = us(50),

@@ -263,7 +263,7 @@ class CapturePipeline:
                 )
             return
         self.cutter.apply(packet)
-        tracer = self.sim.tracer
+        tracer = self.sim._tracer
         if tracer is not None:
             tracer.instant(
                 self.sim.now, "packet", "captured",

@@ -72,6 +72,17 @@ def _checker(hint: Any) -> Callable[[Any], Any]:
     if hint in _COERCE:
         return _COERCE[hint]
     origin = typing.get_origin(hint)
+    if origin is typing.Literal:
+        choices = typing.get_args(hint)
+
+        def choose(value: Any) -> Any:
+            # Compared with their types: True must not pass for 1.
+            if not any(type(value) is type(c) and value == c for c in choices):
+                listed = ", ".join(map(repr, choices))
+                raise ConfigError(f"expected one of {listed}, got {value!r}")
+            return value
+
+        return choose
     if origin is typing.Union:  # Optional[X], the one union supported
         (member,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         inner = _checker(member)

@@ -70,7 +70,10 @@ class Simulator:
                 f"unknown event queue {impl!r}; choose from {sorted(QUEUE_IMPLS)}"
             )
         self.queue_impl: str = impl
-        self._now: int = 0
+        #: Current simulated time in picoseconds. A plain attribute that
+        #: only the kernel assigns: components read it once per frame,
+        #: and a property would cost a Python frame on every read.
+        self.now: int = 0
         self._queue = factory()
         self._seq: int = 0
         self._running = False
@@ -115,13 +118,6 @@ class Simulator:
         if _CREATION_HOOKS:
             for hook in list(_CREATION_HOOKS):
                 hook(self)
-
-    # -- clock ---------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now
 
     # -- tracing ---------------------------------------------------------
 
@@ -202,16 +198,16 @@ class Simulator:
         ticks, stats snapshots): an open-ended :meth:`run` stops once
         only daemon events remain.
         """
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time_ps} ps; now is {self._now} ps"
+                f"cannot schedule at t={time_ps} ps; now is {self.now} ps"
             )
         self._seq += 1
         event = Event(time_ps, priority, self._seq, callback, args, daemon=daemon)
         self._queue.push(event)
         trace = self._trace_sched
         if trace is not None:
-            trace((self._now, event))
+            trace((self.now, event))
         return event
 
     def call_after(
@@ -231,11 +227,11 @@ class Simulator:
         if delay_ps < 0:
             raise SimulationError(f"negative delay: {delay_ps} ps")
         self._seq = seq = self._seq + 1
-        event = Event(self._now + delay_ps, priority, seq, callback, args, daemon)
+        event = Event(self.now + delay_ps, priority, seq, callback, args, daemon)
         self._queue.push(event)
         trace = self._trace_sched
         if trace is not None:
-            trace((self._now, event))
+            trace((self.now, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -256,9 +252,9 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        if event.time < self._now:  # pragma: no cover - internal invariant
+        if event.time < self.now:  # pragma: no cover - internal invariant
             raise SimulationError("event queue produced an event in the past")
-        self._now = event.time
+        self.now = event.time
         event.fired = True
         self.events_processed += 1
         trace = self._trace_fire
@@ -281,9 +277,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until t={until} ps; now is {self._now} ps"
+                f"cannot run until t={until} ps; now is {self.now} ps"
             )
         self._running = True
         self._stop_requested = False
@@ -311,7 +307,7 @@ class Simulator:
                 if until is None and queue._live_foreground == 0:
                     break
                 event = pop()
-                self._now = event.time
+                self.now = event.time
                 event.fired = True
                 self.events_processed += 1
                 trace = self._trace_fire
@@ -326,12 +322,12 @@ class Simulator:
             self._running = False
             self._run_until = None
         if until is not None and not self._stop_requested:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
         return fired
 
     def run_for(self, duration_ps: int, max_events: Optional[int] = None) -> int:
         """Run for a relative duration of simulated time."""
-        return self.run(until=self._now + duration_ps, max_events=max_events)
+        return self.run(until=self.now + duration_ps, max_events=max_events)
 
     def stop(self) -> None:
         """Request that the current :meth:`run` loop stop after this event."""

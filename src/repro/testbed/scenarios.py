@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Literal, Optional, Tuple
 
 from ..analysis.latency import latency_from_capture
 from ..analysis.stats import SummaryStats, gap_jitter_std
 from ..devices.legacy_switch import LegacySwitch
-from ..devices.openflow_switch import SwitchProfile
+from ..devices.openflow_switch import BarrierMode, SwitchProfile
 from ..hw.port import connect
 from ..openflow import constants as ofp
 from ..openflow.match import Match
@@ -124,7 +124,7 @@ class PrecisionRow:
 
 def idt_precision_point(
     *,
-    kind: str,
+    kind: Literal["osnt", "software"],
     target_gap_ps: Duration,
     packet_count: int = 500,
     frame_size: int = 128,
@@ -184,7 +184,7 @@ class ClockErrorRow:
 
 def clock_error_point(
     *,
-    mode: str,
+    mode: Literal["free-running", "gps-disciplined"],
     freq_error_ppm: float = 30.0,
     walk_ppb: float = 20.0,
     horizon_s: int = 10,
@@ -332,7 +332,7 @@ class FlowModResult:
 def flowmod_latency_point(
     *,
     n_rules: int = 32,
-    barrier_mode: str = "spec",
+    barrier_mode: BarrierMode = "spec",
     firmware_delay: Duration = us(10),
     table_write: Duration = us(100),
     probe_gap: Duration = us(2),
@@ -488,7 +488,7 @@ class ConsistencyResult:
 def forwarding_consistency_point(
     *,
     n_rules: int = 32,
-    barrier_mode: str = "eager",
+    barrier_mode: BarrierMode = "eager",
     firmware_delay: Duration = us(30),
     table_write: Duration = us(50),
     probe_gap: Duration = us(2),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import typing
 from typing import Any
 
 import pytest
@@ -157,6 +158,59 @@ def test_ill_typed_value_rejected(case, value):
 )
 def test_bad_scalars_and_unit_strings_rejected(name, key, value):
     rejects(spec_of(name, params={key: value}), key)
+
+
+def _choice_fields():
+    """(scenario, field, choices) for every ``Literal``-annotated field."""
+    return [
+        (name, key, typing.get_args(hint))
+        for name in NAMES
+        for key, (hint, _) in get_scenario(name).fields.items()
+        if typing.get_origin(hint) is typing.Literal
+    ]
+
+
+def test_enumerated_fields_declare_their_choices():
+    declared = {(name, key): choices for name, key, choices in _choice_fields()}
+    assert declared[("clock_error", "mode")] == ("free-running", "gps-disciplined")
+    assert declared[("idt_precision", "kind")] == ("osnt", "software")
+    barrier = {name for (name, key) in declared if key == "barrier_mode"}
+    assert barrier == {
+        name for name in NAMES if "barrier_mode" in get_scenario(name).fields
+    }
+    assert barrier >= {"flowmod_latency", "forwarding_consistency", "oflops"}
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=st.sampled_from(_choice_fields()), value=st.text(max_size=20))
+def test_value_outside_the_choices_rejected_before_any_shard(tmp_path, case, value):
+    name, key, choices = case
+    if value in choices:
+        return
+    message = rejects(
+        spec_of(name, params={key: value}), key, checkpoint=tmp_path / "ckpt"
+    )
+    for choice in choices:
+        assert repr(choice) in message, message
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_listed_choice_accepted_unchanged(data):
+    name, key, choices = data.draw(st.sampled_from(_choice_fields()))
+    choice = data.draw(st.sampled_from(choices))
+    params = dict(REQUIRED[name], **{key: choice})
+    assert get_scenario(name).bind(params)[key] is choice
+    spec = spec_of(name, params={key: choice})
+    assert [shard.params[key] for shard in spec.expand()] == [choice]
+
+
+def test_gps_typo_is_not_run_as_free_running():
+    rejects(spec_of("clock_error", params={"mode": "gps"}), "mode")
 
 
 def test_bad_axis_value_rejected():
